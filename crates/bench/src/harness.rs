@@ -28,6 +28,7 @@ use setsim_core::{
 use setsim_datagen::{Corpus, LengthBucket};
 use setsim_tokenize::QGramTokenizer;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Harness parameters. `scale` and `seed` select the deterministic
@@ -465,10 +466,14 @@ fn measure_paged_workload(
 ) -> WorkloadReport {
     let tau = 0.8;
     let index = InvertedIndex::build(collection, IndexOptions::default());
+    // Unique per call: concurrent harness runs in one process (parallel
+    // tests) must not save over each other's snapshot.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
-        "setsim-harness-paged-{}-{}.snap",
+        "setsim-harness-paged-{}-{}-{}.snap",
         std::process::id(),
-        config.seed
+        config.seed,
+        SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     index.save(&path).expect("paged-cell snapshot save");
     drop(index);

@@ -39,6 +39,7 @@ use crate::algorithms::{
     FullScan, HybridAlgorithm, INraAlgorithm, ITaAlgorithm, NraAlgorithm, SelectionAlgorithm,
     SfAlgorithm, SortByIdMerge, TaAlgorithm, MAX_QUERY_LISTS,
 };
+use crate::index::ListStructures;
 use crate::{
     AlgoConfig, InvertedIndex, Match, PreparedQuery, SearchOutcome, SearchStats, SearchStatus, Tau,
 };
@@ -186,6 +187,42 @@ impl AlgorithmKind {
             "sf" => Some(AlgorithmKind::Sf),
             "hybrid" => Some(AlgorithmKind::Hybrid),
             _ => None,
+        }
+    }
+
+    /// The list structures this algorithm reads beyond the
+    /// `(len, id)`-sorted run and its skip layer, which every list
+    /// algorithm's sorted access uses. The declaration follows each
+    /// algorithm's access pattern in the paper:
+    ///
+    /// * TA and iTA (Sections IV and V) complete every newly seen set's
+    ///   score with random-access probes into the other lists —
+    ///   [`ListStructures::random_access`].
+    /// * The sort-by-id multiway merge (Section III-B) walks the lists in
+    ///   ascending id order — [`ListStructures::id_order`].
+    /// * NRA (Algorithm 1), iNRA (Algorithm 2), SF (Algorithm 3), and
+    ///   Hybrid (Algorithm 4) read the lists by sorted access only, inside
+    ///   the Theorem 1 length window; the full scan reads the base table
+    ///   and no list at all — [`ListStructures::SORTED`].
+    ///
+    /// The paged engine assembles each query's lists with exactly these
+    /// structures.
+    #[must_use]
+    pub(crate) fn list_structures(self) -> ListStructures {
+        match self {
+            AlgorithmKind::Ta | AlgorithmKind::ITa => ListStructures {
+                random_access: true,
+                id_order: false,
+            },
+            AlgorithmKind::Merge => ListStructures {
+                random_access: false,
+                id_order: true,
+            },
+            AlgorithmKind::Scan
+            | AlgorithmKind::Nra
+            | AlgorithmKind::INra
+            | AlgorithmKind::Sf
+            | AlgorithmKind::Hybrid => ListStructures::SORTED,
         }
     }
 

@@ -18,12 +18,18 @@
 //! is dropped only when its band's score upper bound is *safely* below τ
 //! (the exact complement of the emission predicate), the result set is
 //! bit-identical to the heap engine's (`tests/snapshot_equivalence.rs`).
+//! Each window carries only the list structures the request's algorithm
+//! reads ([`AlgorithmKind::list_structures`](super::AlgorithmKind::list_structures)):
+//! the sorted run and its skip layer always, the extendible hash or
+//! bitmap only for TA/iTA's random access, the id-sorted copy or bitmap
+//! only for the sort-by-id merge.
 //!
-//! Every page fault is CRC-verified by the pool; damage in a faulted
-//! page surfaces as a typed [`SnapshotError::ChecksumMismatch`] naming
-//! the exact page, at fault time — never a panic, never a silent read.
-//! Damage in pages no query faults is invisible by design (run
-//! [`crate::snapshot::verify`] for an eager sweep).
+//! Every page access — pool miss or resident hit — is CRC-verified by
+//! the pool exactly once; damage in a faulted page surfaces as a typed
+//! [`SnapshotError::ChecksumMismatch`] naming the exact page, at fault
+//! time — never a panic, never a silent read. Damage in pages no query
+//! faults is invisible by design (run [`crate::snapshot::verify`] for an
+//! eager sweep).
 
 use super::{execute_into, EngineMetrics, MetricsSnapshot, Scratch, SearchError, SearchRequest};
 use crate::index::ListPayload;
@@ -117,7 +123,8 @@ impl PageFetch for PooledPages<'_> {
 /// [`QueryEngine::open_paged`](super::QueryEngine::open_paged) alias).
 pub struct PagedEngine {
     /// Collection, weights, lengths, and options from the footer; its
-    /// lists hold only the current query's decoded windows.
+    /// lists hold only the current query's decoded windows, with only the
+    /// structures the current query's algorithm reads.
     index: InvertedIndex<'static>,
     /// The footer's per-list block directory, token-ascending.
     directory: Vec<ListRef>,
@@ -152,7 +159,8 @@ impl PagedEngine {
     }
 
     /// The underlying index state (collection, weights, options). Its
-    /// posting lists reflect only the most recent query's windows.
+    /// posting lists reflect only the most recent query's windows, and
+    /// carry only the list structures that query's algorithm reads.
     #[must_use]
     pub fn index(&self) -> &InvertedIndex<'static> {
         &self.index
@@ -207,8 +215,9 @@ impl PagedEngine {
 
     /// Run one request. Resolves each query list's Theorem 1 window
     /// against the directory, faults only the pages inside it, swaps the
-    /// decoded windows into the index, and dispatches to the requested
-    /// algorithm unmodified. Results are bit-identical to the heap
+    /// decoded windows into the index (assembled with only the list
+    /// structures the algorithm declares), and dispatches to the
+    /// requested algorithm unmodified. Results are bit-identical to the heap
     /// engine; [`SearchStats`](crate::SearchStats) additionally carries
     /// `pages_touched` / `page_cache_hits` / `page_cache_misses`.
     pub fn search(&mut self, req: SearchRequest<'_>) -> Result<SearchOutcome, PagedSearchError> {
@@ -258,7 +267,8 @@ impl PagedEngine {
             }
             lists.push((qt.token, payload));
         }
-        self.index.replace_lists(lists);
+        self.index
+            .replace_lists(lists, req.algorithm.list_structures());
         execute_into(&self.index, &mut self.scratch, &req)?;
         self.scratch.stats.pages_touched = touched.len() as u64;
         self.scratch.stats.page_cache_hits = self.snap.hits() - hits0;

@@ -188,6 +188,66 @@ pub(crate) enum ListPayload {
     Ids(Vec<u32>),
 }
 
+impl ListPayload {
+    /// The payload as `(len, id)`-sorted postings. Id-only payloads take
+    /// their lengths from `lengths` and are sorted with an unstable sort
+    /// on the `(len bits, id)` key [`PostingList::seek_key`] compares:
+    /// lengths are non-negative, where bit order is `total_cmp` order, and
+    /// ids are unique, so no two keys compare equal and the order is the
+    /// one the build path's stable sort gives.
+    fn into_postings(self, lengths: &[f64]) -> Vec<Posting> {
+        match self {
+            ListPayload::Postings(p) => p,
+            ListPayload::Ids(ids) => {
+                let mut p: Vec<Posting> = ids
+                    .into_iter()
+                    .map(|id| Posting {
+                        id: SetId(id),
+                        len: lengths[id as usize],
+                    })
+                    .collect();
+                p.sort_unstable_by_key(|p| (p.len.to_bits(), p.id.0));
+                p
+            }
+        }
+    }
+}
+
+/// Which per-list auxiliary structures to assemble beyond the
+/// `(len, id)`-sorted run and its skip layer (the skip list or block-max
+/// directory) — those two serve every list algorithm's sorted access and
+/// are always built when [`IndexOptions`] asks for them. The remaining
+/// structures are each read by one access pattern only, so an assembly
+/// that knows its reader can leave the others out.
+/// [`AlgorithmKind::list_structures`](crate::AlgorithmKind::list_structures)
+/// declares what each algorithm reads; the result is intersected with the
+/// index's [`IndexOptions`], never widened by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ListStructures {
+    /// Random-access id probes ([`PostingList::contains_id`]): the run
+    /// representation's extendible hash, the bitmap representation's
+    /// bitmap. Inline lists answer probes from their postings alone.
+    pub(crate) random_access: bool,
+    /// Ascending-id enumeration ([`PostingList::id_postings`]): the
+    /// id-sorted copy of run and inline lists, the bitmap representation's
+    /// bitmap.
+    pub(crate) id_order: bool,
+}
+
+impl ListStructures {
+    /// Every structure the options allow: the build and load paths.
+    pub(crate) const ALL: Self = Self {
+        random_access: true,
+        id_order: true,
+    };
+
+    /// Sorted access only: the run and its skip layer.
+    pub(crate) const SORTED: Self = Self {
+        random_access: false,
+        id_order: false,
+    };
+}
+
 /// Posting storage: a fixed inline array for lists that fit
 /// [`INLINE_CAP`], a heap vector otherwise. The inline arm is what makes
 /// [`ReprKind::Inline`] real — a rare-gram list occupies its slot in the
@@ -288,9 +348,10 @@ impl PostingList {
         self.by_id.as_slice()
     }
 
-    /// Id-ordered view for the merge baseline, or `None` if the index
-    /// was built without id-sorted lists (and this list is not a bitmap,
-    /// which needs no copy).
+    /// Id-ordered view for the merge baseline, or `None` if the list
+    /// was assembled without id order: built without id-sorted lists
+    /// (bitmap lists need no copy), or assembled by the paged engine for
+    /// an algorithm that reads no list in id order.
     pub fn id_postings(&self) -> Option<IdPostings<'_>> {
         if let Some(bm) = &self.bitmap {
             return Some(IdPostings::Bitmap(bm));
@@ -321,16 +382,21 @@ impl PostingList {
     /// lists consult the extendible hash.
     ///
     /// # Panics
-    /// Panics if this is a [`ReprKind::Run`] list and the index was built
-    /// without hash indexes.
+    /// Panics if the list was assembled without its probe structure
+    /// ([`supports_random_access`](Self::supports_random_access) is
+    /// `false`): a [`ReprKind::Run`] list built without hash indexes, or a
+    /// run or [`ReprKind::Bitmap`] list assembled by the paged engine for
+    /// an algorithm that makes no random access.
     pub fn contains_id(&self, id: SetId, stats: &mut SearchStats) -> bool {
         stats.random_probes += 1;
         match self.repr {
             ReprKind::Inline => self.by_len.as_slice().iter().any(|p| p.id == id),
-            ReprKind::Bitmap => match &self.bitmap {
-                Some(bm) => bm.contains(id.0),
-                None => unreachable!("bitmap representation always carries its bitmap"),
-            },
+            ReprKind::Bitmap => {
+                let Some(bm) = self.bitmap.as_ref() else {
+                    panic!("random access requires the bitmap list's bitmap")
+                };
+                bm.contains(id.0)
+            }
             ReprKind::Run => {
                 let Some(hash) = self.hash.as_ref() else {
                     panic!("random access requires build_hash_indexes")
@@ -341,11 +407,17 @@ impl PostingList {
     }
 
     /// True if this list supports random access ([`contains_id`]
-    /// will not panic). Inline and bitmap lists always do.
+    /// will not panic). Inline lists always do; run lists need their
+    /// extendible hash and bitmap lists their bitmap, both of which are
+    /// left out when the list is assembled without random access.
     ///
     /// [`contains_id`]: Self::contains_id
     pub fn supports_random_access(&self) -> bool {
-        !matches!(self.repr, ReprKind::Run) || self.hash.is_some()
+        match self.repr {
+            ReprKind::Inline => true,
+            ReprKind::Run => self.hash.is_some(),
+            ReprKind::Bitmap => self.bitmap.is_some(),
+        }
     }
 
     /// True if this list carries an extendible-hash id index.
@@ -505,13 +577,15 @@ impl CollectionHandle<'_> {
 }
 
 /// Derive the representation and auxiliary structures of one list from
-/// its `(len, id)`-sorted postings. Shared by [`InvertedIndex::build`]
-/// and the snapshot load path so both produce bit-identical lists: the
-/// selected [`ReprKind`] is a pure function of `(list length,
-/// num_records, policy)`, and the id-sorted copy, the skip list (seeded
-/// per token, one entry per stride), the extendible-hash id index, the
-/// dense bitmap, and the block-max directory are all deterministic
-/// functions of the sorted postings alone.
+/// its `(len, id)`-sorted postings. Shared by [`InvertedIndex::build`],
+/// the snapshot load path, and the paged engine's per-query assembly so
+/// all produce bit-identical lists: the selected [`ReprKind`] is a pure
+/// function of `(list length, num_records, policy)`, and the id-sorted
+/// copy, the skip list (seeded per token, one entry per stride), the
+/// extendible-hash id index, the dense bitmap, and the block-max
+/// directory are all deterministic functions of the sorted postings
+/// alone. Each structure is built only if `options` enables it and
+/// `structures` asks for its access pattern.
 ///
 /// # Panics
 ///
@@ -522,9 +596,11 @@ fn assemble_list(
     by_len: Vec<Posting>,
     options: &IndexOptions,
     num_records: usize,
+    structures: ListStructures,
 ) -> PostingList {
     let repr = select_repr(by_len.len(), num_records, options.repr_policy);
     let stride = options.skip_stride.max(1);
+    let id_sorted = options.build_id_sorted_lists && structures.id_order;
     let mut list = PostingList {
         repr,
         by_len: Store::empty(),
@@ -538,7 +614,7 @@ fn assemble_list(
         ReprKind::Inline => {
             // No auxiliary structures: seeks and probes walk the few
             // postings directly.
-            if options.build_id_sorted_lists {
+            if id_sorted {
                 let mut v = by_len.clone();
                 v.sort_by_key(|p| p.id);
                 list.by_id = Store::inline_or_heap(v);
@@ -546,7 +622,7 @@ fn assemble_list(
             list.by_len = Store::inline_or_heap(by_len);
         }
         ReprKind::Run => {
-            if options.build_id_sorted_lists {
+            if id_sorted {
                 let mut v = by_len.clone();
                 v.sort_by_key(|p| p.id);
                 list.by_id = Store::Heap(v);
@@ -558,7 +634,7 @@ fn assemble_list(
                 }
                 list.skip = Some(sl);
             }
-            if options.build_hash_indexes {
+            if options.build_hash_indexes && structures.random_access {
                 let mut h = ExtendibleHashMap::new(options.hash_bucket_capacity);
                 for p in &by_len {
                     h.insert(p.id.0, ());
@@ -571,12 +647,14 @@ fn assemble_list(
             // The bitmap subsumes both the hash index (bit-test
             // membership) and the id-sorted copy (ascending set-bit
             // enumeration); the block-max directory is the skip layer.
-            let mut ids: Vec<u32> = by_len.iter().map(|p| p.id.0).collect();
-            ids.sort_unstable();
-            list.bitmap = Some(DenseBitmap::from_sorted_ids(
-                &ids,
-                u32::try_from(num_records).expect("more than u32::MAX records"), // lint: allow — SetId is a u32, so a collection cannot exceed u32::MAX records; documented in # Panics
-            ));
+            if structures.random_access || structures.id_order {
+                let mut ids: Vec<u32> = by_len.iter().map(|p| p.id.0).collect();
+                ids.sort_unstable();
+                list.bitmap = Some(DenseBitmap::from_sorted_ids(
+                    &ids,
+                    u32::try_from(num_records).expect("more than u32::MAX records"), // lint: allow — SetId is a u32, so a collection cannot exceed u32::MAX records; documented in # Panics
+                ));
+            }
             if options.build_skip_lists {
                 list.block_max = Some(BlockMaxIndex::build(
                     by_len.iter().map(|p| p.len.to_bits()),
@@ -628,7 +706,13 @@ impl<'c> InvertedIndex<'c> {
             postings.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
             lists.insert(
                 token,
-                assemble_list(token, postings, &options, lengths.len()),
+                assemble_list(
+                    token,
+                    postings,
+                    &options,
+                    lengths.len(),
+                    ListStructures::ALL,
+                ),
             );
         }
 
@@ -724,24 +808,17 @@ impl<'c> InvertedIndex<'c> {
         let mut total_postings = 0u64;
         let mut lists = HashMap::with_capacity(sorted_lists.len());
         for (token, payload) in sorted_lists {
-            let postings = match payload {
-                ListPayload::Postings(p) => p,
-                ListPayload::Ids(ids) => {
-                    let mut p: Vec<Posting> = ids
-                        .into_iter()
-                        .map(|id| Posting {
-                            id: SetId(id),
-                            len: lengths[id as usize],
-                        })
-                        .collect();
-                    p.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
-                    p
-                }
-            };
+            let postings = payload.into_postings(&lengths);
             total_postings += postings.len() as u64;
             lists.insert(
                 token,
-                assemble_list(token, postings, &options, lengths.len()),
+                assemble_list(
+                    token,
+                    postings,
+                    &options,
+                    lengths.len(),
+                    ListStructures::ALL,
+                ),
             );
         }
         InvertedIndex {
@@ -758,30 +835,28 @@ impl<'c> InvertedIndex<'c> {
     /// lists were present. The paged engine's per-query path: collection,
     /// weights, lengths, and options stay fixed (they came from the
     /// snapshot footer once, at open), while the lists hold only the
-    /// current query's Theorem 1 windows. Assembly is the same
+    /// current query's Theorem 1 windows, each carrying only the
+    /// `structures` the query's algorithm reads. Assembly is the same
     /// deterministic [`assemble_list`] the build and load paths use.
-    pub(crate) fn replace_lists(&mut self, sorted_lists: Vec<(Token, ListPayload)>) {
+    pub(crate) fn replace_lists(
+        &mut self,
+        sorted_lists: Vec<(Token, ListPayload)>,
+        structures: ListStructures,
+    ) {
         self.lists.clear();
         self.total_postings = 0;
         for (token, payload) in sorted_lists {
-            let postings = match payload {
-                ListPayload::Postings(p) => p,
-                ListPayload::Ids(ids) => {
-                    let mut p: Vec<Posting> = ids
-                        .into_iter()
-                        .map(|id| Posting {
-                            id: SetId(id),
-                            len: self.lengths[id as usize],
-                        })
-                        .collect();
-                    p.sort_by(|a, b| a.len.total_cmp(&b.len).then(a.id.cmp(&b.id)));
-                    p
-                }
-            };
+            let postings = payload.into_postings(&self.lengths);
             self.total_postings += postings.len() as u64;
             self.lists.insert(
                 token,
-                assemble_list(token, postings, &self.options, self.lengths.len()),
+                assemble_list(
+                    token,
+                    postings,
+                    &self.options,
+                    self.lengths.len(),
+                    structures,
+                ),
             );
         }
     }
@@ -1154,5 +1229,133 @@ mod tests {
         assert!(lists > 0);
         assert!(skip > 0);
         assert!(hash > 0);
+    }
+
+    /// A corpus where the adaptive policy picks all three
+    /// representations: rare q-grams go inline, the shared prefixes
+    /// ("#st", "str", …) cover every record and go bitmap, the numbered
+    /// suffixes stay runs.
+    fn structures_corpus() -> SetCollection {
+        let mut b = CollectionBuilder::new(QGramTokenizer::new(3).with_padding('#'));
+        for i in 0..240 {
+            b.add(&format!("street {} lane {}", i % 37, i));
+        }
+        b.build()
+    }
+
+    /// An index over `structures_corpus` whose lists are re-assembled by
+    /// the paged engine's path with only `structures`: bitmap-selected
+    /// lists arrive as bare ids (the bitmap page payload), the rest as
+    /// postings.
+    fn assembled_with(
+        options: &IndexOptions,
+        structures: ListStructures,
+    ) -> InvertedIndex<'static> {
+        let full = InvertedIndex::build_owned(Box::new(structures_corpus()), options.clone());
+        let mut lists: Vec<(Token, ListPayload)> = full
+            .iter_lists()
+            .map(|(t, l)| {
+                let payload = if l.repr() == ReprKind::Bitmap {
+                    let mut ids: Vec<u32> = l.postings().iter().map(|p| p.id.0).collect();
+                    ids.sort_unstable();
+                    ListPayload::Ids(ids)
+                } else {
+                    ListPayload::Postings(l.postings().to_vec())
+                };
+                (t, payload)
+            })
+            .collect();
+        lists.sort_by_key(|(t, _)| *t);
+        let mut lean = InvertedIndex::assemble_owned(
+            Box::new(structures_corpus()),
+            options.clone(),
+            Vec::new(),
+        );
+        lean.replace_lists(lists, structures);
+        lean
+    }
+
+    #[test]
+    fn declared_structures_search_like_full_assembly() {
+        use crate::engine::{execute, Scratch, SearchRequest};
+        use crate::AlgorithmKind;
+        let queries = ["street 5 lane 5", "stret 12 lane 49", "street 30 lain 67"];
+        let policies = [
+            ReprPolicy::Adaptive,
+            ReprPolicy::Force(ReprKind::Run),
+            ReprPolicy::Force(ReprKind::Bitmap),
+            ReprPolicy::Force(ReprKind::Inline),
+        ];
+        let mut reprs_seen = std::collections::HashSet::new();
+        for policy in policies {
+            let options = IndexOptions::default().with_repr_policy(policy);
+            let full = InvertedIndex::build_owned(Box::new(structures_corpus()), options.clone());
+            for kind in AlgorithmKind::ALL {
+                let declared = kind.list_structures();
+                let lean = assembled_with(&options, declared);
+                assert_eq!(lean.num_lists(), full.num_lists());
+                assert_eq!(lean.total_postings(), full.total_postings());
+                for (token, l) in lean.iter_lists() {
+                    reprs_seen.insert(l.repr());
+                    assert_eq!(l.repr(), full.query_list(token).repr());
+                    assert_eq!(l.postings(), full.query_list(token).postings());
+                    // Inline lists probe their postings directly and a
+                    // bitmap built for id order answers probes too; any
+                    // other list built without random access has no
+                    // probe structure.
+                    let probes = declared.random_access
+                        || l.repr() == ReprKind::Inline
+                        || (l.repr() == ReprKind::Bitmap && declared.id_order);
+                    assert_eq!(
+                        l.supports_random_access(),
+                        probes,
+                        "{} {policy:?} {:?}",
+                        kind.name(),
+                        l.repr()
+                    );
+                    // Likewise a bitmap built for probes enumerates ids.
+                    let id_order = declared.id_order
+                        || (l.repr() == ReprKind::Bitmap && declared.random_access);
+                    assert_eq!(l.id_postings().is_some(), id_order);
+                }
+                let (mut s_full, mut s_lean) = (Scratch::default(), Scratch::default());
+                for text in queries {
+                    let q = full.prepare_query_str(text);
+                    for tau in [0.3, 0.6, 0.9] {
+                        let req = SearchRequest::new(&q).tau(tau).algorithm(kind);
+                        let a = execute(&full, &mut s_full, &req).expect("valid request");
+                        let b = execute(&lean, &mut s_lean, &req).expect("valid request");
+                        let bits = |o: &crate::SearchOutcome| {
+                            let mut v: Vec<(u32, u64)> = o
+                                .results
+                                .iter()
+                                .map(|m| (m.id.0, m.score.to_bits()))
+                                .collect();
+                            v.sort_unstable();
+                            v
+                        };
+                        let ctx = format!("{} {policy:?} {text:?} tau {tau}", kind.name());
+                        assert_eq!(bits(&a), bits(&b), "{ctx}: results");
+                        assert_eq!(a.stats, b.stats, "{ctx}: counters");
+                        assert_eq!(a.status, b.status, "{ctx}: status");
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            reprs_seen.len(),
+            3,
+            "the corpus must exercise every representation"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "random access requires the bitmap list's bitmap")]
+    fn bitmap_probe_without_bitmap_panics() {
+        let options = IndexOptions::default().with_repr_policy(ReprPolicy::Force(ReprKind::Bitmap));
+        let lean = assembled_with(&options, ListStructures::SORTED);
+        let (_, list) = lean.iter_lists().next().expect("a list");
+        assert!(!list.supports_random_access());
+        let _ = list.contains_id(SetId(0), &mut SearchStats::default());
     }
 }

@@ -756,7 +756,11 @@ impl PageFetch for PageCache<'_> {
         }
         match &self.last {
             Some((_, payload)) => Ok(payload),
-            None => unreachable!("just populated"),
+            // Populated just above; kept typed rather than a panic so the
+            // decode path stays panic-free.
+            None => Err(SnapshotError::Corrupt {
+                detail: format!("page {id} missing from the single-page read cache"),
+            }),
         }
     }
 }

@@ -7,14 +7,16 @@
 //! bounded [`BufferPool`], so resident memory is `pool_pages ×
 //! page_size` no matter how large the snapshot is.
 //!
-//! Integrity contract — identical to the pool's verified path:
+//! Integrity contract — identical to the pool's verified path: every
+//! access, hit or miss, is verified exactly once.
 //!
 //! * every miss reads the **sealed** page (CRC trailer in place) and
-//!   verifies it before caching; a damaged on-disk page surfaces as a
-//!   typed [`SnapshotError::ChecksumMismatch`] naming the exact page,
-//!   at fault time, and is never cached;
-//! * every hit re-verifies the resident frame, so a frame that rots
-//!   while cached is evicted and re-read rather than served;
+//!   verifies it once, before caching; a damaged on-disk page surfaces
+//!   as a typed [`SnapshotError::ChecksumMismatch`] naming the exact
+//!   page, at fault time, and is never cached;
+//! * every hit verifies the resident frame once, before serving it, so
+//!   a frame that rots while cached is evicted and re-read rather than
+//!   served;
 //! * pages that no query ever faults are never read, so corruption in
 //!   them is invisible to `open` and to lazily-verified serving — by
 //!   design (the eager `verify_all_pages` sweep exists for operators
@@ -85,8 +87,9 @@ impl PagedSnapshot {
     /// trailer stripped; trailing zero padding retained — the decoder's
     /// entry counts delimit the meaningful prefix).
     ///
-    /// Misses read the sealed page from the file and verify it before
-    /// caching; hits re-verify the resident frame. A damaged page —
+    /// Every access verifies the page CRC exactly once: misses read the
+    /// sealed page from the file and verify it before caching; hits
+    /// verify the resident frame before serving it. A damaged page —
     /// on disk or rotted in cache with a damaged disk copy — returns
     /// [`SnapshotError::ChecksumMismatch`] with the exact page id and
     /// caches nothing.

@@ -1,3 +1,14 @@
+//! The LRU [`BufferPool`] and the [`PageSource`]s it faults pages from.
+//!
+//! Integrity contract of the verified path
+//! ([`BufferPool::get_verified`]): every access computes the page CRC
+//! exactly once. A resident hit re-verifies its frame before serving it,
+//! so a frame that rotted while cached is evicted and re-read as a miss,
+//! never served; a miss verifies the freshly read bytes before admitting
+//! them, so a damaged source copy is a typed
+//! [`SnapshotError::ChecksumMismatch`] naming the page and is never
+//! cached.
+
 use crate::snapshot::{page_checksum_ok, SnapshotError, SnapshotRegion};
 use crate::{PageId, SimulatedDisk};
 use std::collections::HashMap;
@@ -40,10 +51,12 @@ impl PageSource for crate::SnapshotReader {
 ///
 /// Pages sealed with an embedded CRC (see
 /// [`seal_page`](crate::snapshot::seal_page)) can be fetched through
-/// [`get_verified`](Self::get_verified), which checks the checksum on
-/// every access. A resident frame that fails verification is **not** a
-/// hit: it is evicted and the page re-read from disk as a miss, so the
-/// hit ratio never counts reads that had to fall back to the disk.
+/// [`get_verified`](Self::get_verified), which checks the checksum
+/// exactly once on every access — the resident frame on a hit, the
+/// freshly read bytes on a miss, before they are admitted. A resident
+/// frame that fails verification is **not** a hit: it is evicted and the
+/// page re-read from disk as a miss, so the hit ratio never counts reads
+/// that had to fall back to the disk.
 pub struct BufferPool {
     capacity: usize,
     frames: HashMap<PageId, Frame>,
@@ -89,14 +102,23 @@ impl BufferPool {
     }
 
     /// Read `id` from the source into a frame, evicting first if needed.
+    /// With `verify`, the freshly read bytes are checked against their
+    /// embedded CRC before they are cached: a damaged source copy is
+    /// never admitted, so its bytes cannot later be served as a hit.
     fn admit<S: PageSource + ?Sized>(
         &mut self,
         src: &mut S,
         id: PageId,
         clock: u64,
+        verify: bool,
     ) -> Result<(), SnapshotError> {
         self.evict_if_full();
         let data = src.read_sealed_page(id)?;
+        if verify && !page_checksum_ok(&data) {
+            return Err(SnapshotError::ChecksumMismatch {
+                region: SnapshotRegion::Page(id.0),
+            });
+        }
         self.frames.insert(
             id,
             Frame {
@@ -119,7 +141,7 @@ impl BufferPool {
             // SimulatedDisk's PageSource impl cannot fail; on the
             // impossible error path the frame is simply absent and the
             // fallback arm below serves an empty page.
-            let _infallible = self.admit(disk, id, clock);
+            let _infallible = self.admit(disk, id, clock, false);
         }
         // Present on both paths; the fallback arm is unreachable.
         let f = self.frames.entry(id).or_insert_with(|| Frame {
@@ -131,8 +153,10 @@ impl BufferPool {
     }
 
     /// Fetch a CRC-sealed page through the cache, verifying the embedded
-    /// checksum on every access. Generic over the [`PageSource`] backing
-    /// the pool — the in-memory [`SimulatedDisk`] and the real-file
+    /// checksum exactly once per access: a resident frame is re-verified
+    /// before it is served as a hit, a freshly read page before it is
+    /// admitted. Generic over the [`PageSource`] backing the pool — the
+    /// in-memory [`SimulatedDisk`] and the real-file
     /// [`SnapshotReader`](crate::SnapshotReader) both qualify.
     ///
     /// A resident frame that fails verification does **not** count as a
@@ -152,36 +176,29 @@ impl BufferPool {
         match resident {
             Some(true) => self.hits += 1,
             Some(false) => {
-                // The frame went bad while cached. Before the fix this
-                // path counted a hit and served the damaged bytes.
+                // The frame went bad while cached: never a hit, never
+                // served.
                 self.checksum_evictions += 1;
                 self.frames.remove(&id);
                 self.misses += 1;
-                self.admit(disk, id, clock)?;
+                self.admit(disk, id, clock, true)?;
             }
             None => {
                 self.misses += 1;
-                self.admit(disk, id, clock)?;
+                self.admit(disk, id, clock, true)?;
             }
         }
-        let admitted_ok = self
-            .frames
-            .get(&id)
-            .is_some_and(|f| page_checksum_ok(&f.data));
-        if !admitted_ok {
-            // The authoritative disk copy is damaged: drop it so the
-            // bad bytes cannot later be served as a "verified" hit.
-            self.frames.remove(&id);
-            return Err(SnapshotError::ChecksumMismatch {
+        // Every path that reaches here left a verified frame; a missing
+        // one is reported as unverified rather than served.
+        match self.frames.get_mut(&id) {
+            Some(f) => {
+                f.last_used = clock;
+                Ok(&f.data)
+            }
+            None => Err(SnapshotError::ChecksumMismatch {
                 region: SnapshotRegion::Page(id.0),
-            });
+            }),
         }
-        let f = self.frames.entry(id).or_insert_with(|| Frame {
-            data: Box::new([]),
-            last_used: clock,
-        });
-        f.last_used = clock;
-        Ok(&f.data)
     }
 
     /// Corrupt a resident frame in place (fault injection for tests and

@@ -4,6 +4,8 @@
 //! pass, repeated `QueryEngine::search_view` calls for iNRA, SF, and
 //! Hybrid (the paper's recommended algorithms) must perform **zero** heap
 //! allocations — the whole point of the engine's reusable `Scratch`.
+//! Allocations are counted per thread, so tests running in parallel do
+//! not see each other's.
 
 use setsim::core::{
     AlgorithmKind, CollectionBuilder, IndexOptions, InvertedIndex, QueryEngine, SearchRequest,
@@ -11,17 +13,31 @@ use setsim::core::{
 };
 use setsim::tokenize::QGramTokenizer;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation and reallocation; frees are not counted (a
 /// steady-state query must not free either, but allocation is the signal).
+///
+/// The count is per thread: the test harness runs tests in parallel, and
+/// a process-wide counter would charge each test with the allocations of
+/// every test running beside it.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and drop-free, so touching it from inside the
+    // allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only during thread teardown, when nothing is
+    // measuring.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -30,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,8 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn corpus() -> SetCollection {
@@ -127,4 +144,26 @@ fn owned_outcome_path_allocates_at_most_the_result_move() {
         delta <= 2 * runs,
         "owning path should cost O(1) allocations per query, measured {delta} over {runs}"
     );
+}
+
+#[test]
+fn counter_sees_this_threads_allocations_only() {
+    // Guards the bounds above against a counter that never counts, and
+    // against one that counts other threads' work.
+    let before = allocations();
+    let v: Vec<u64> = std::hint::black_box(Vec::with_capacity(16));
+    assert_eq!(allocations() - before, 1, "one allocation on this thread");
+    drop(v);
+    let before = allocations();
+    std::thread::spawn(|| {
+        for i in 0..1000u32 {
+            std::hint::black_box(vec![i; 4]);
+        }
+    })
+    .join()
+    .expect("allocating thread");
+    // Spawning itself allocates a few handles on this thread; the other
+    // thread's thousand vectors must not be counted here.
+    let delta = allocations() - before;
+    assert!(delta < 100, "{delta} allocations charged to this thread");
 }
