@@ -573,20 +573,30 @@ impl<'c> QueryEngine<'c> {
 /// single posting access, which is the whole point of length banding:
 /// at high thresholds most shards fall outside the Theorem 1 window
 /// `[τ·len(q), len(q)/τ]` and scale-out is nearly free.
+///
+/// Each shard owns one warm [`Scratch`], whichever worker runs it. A
+/// scratch's reused candidate map keeps the capacity its past queries
+/// grew, and that capacity sets NRA's scan order; fixing the scratch per
+/// shard makes every counter a function of the query sequence alone, not
+/// of which worker reached which shard first.
 pub struct ShardedEngine {
     index: crate::ShardedIndex,
     metrics: EngineMetrics,
-    scratch_pool: Mutex<Vec<Scratch>>,
+    /// One scratch per shard, indexed like the shard slice.
+    scratches: Vec<Mutex<Scratch>>,
 }
 
 impl ShardedEngine {
     /// Wrap a sharded index in a serving engine.
     #[must_use]
     pub fn new(index: crate::ShardedIndex) -> Self {
+        let scratches = (0..index.num_shards())
+            .map(|_| Mutex::new(Scratch::default()))
+            .collect();
         Self {
             index,
             metrics: EngineMetrics::default(),
-            scratch_pool: Mutex::new(Vec::new()),
+            scratches,
         }
     }
 
@@ -626,8 +636,8 @@ impl ShardedEngine {
         self.search_with_threads(req, threads)
     }
 
-    /// [`search`](Self::search) with an explicit worker count. One warm
-    /// scratch per worker, drawn from (and returned to) the engine pool.
+    /// [`search`](Self::search) with an explicit worker count. Each shard
+    /// runs on its own warm scratch.
     pub fn search_with_threads(
         &self,
         req: &SearchRequest<'_>,
@@ -645,29 +655,33 @@ impl ShardedEngine {
             (0..plan.surviving.len()).map(|_| OnceLock::new()).collect();
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|| {
-                    let mut scratch = self.pool_pop();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let (Some((shard, fq)), Some(slot)) = (plan.surviving.get(i), slots.get(i))
-                        else {
-                            break;
-                        };
-                        let sreq = SearchRequest {
-                            query: fq,
-                            tau: req.tau,
-                            algorithm: req.algorithm,
-                            config: req.config,
-                            budget: req.budget,
-                        };
-                        let res = match shards.get(*shard) {
-                            Some(sh) => execute(&sh.index, &mut scratch, &sreq),
-                            None => unreachable!("plan indexes its own shard slice"),
-                        };
-                        // Each slot is claimed by exactly one worker.
-                        let _ = slot.set(res);
-                    }
-                    self.pool_push(scratch);
+                s.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let (Some((shard, fq)), Some(slot)) = (plan.surviving.get(i), slots.get(i))
+                    else {
+                        break;
+                    };
+                    let sreq = SearchRequest {
+                        query: fq,
+                        tau: req.tau,
+                        algorithm: req.algorithm,
+                        config: req.config,
+                        budget: req.budget,
+                    };
+                    let res = match (shards.get(*shard), self.scratches.get(*shard)) {
+                        (Some(sh), Some(scratch)) => {
+                            // A poisoned scratch is still structurally
+                            // valid (plain Vecs and maps, reset per query).
+                            let mut scratch = match scratch.lock() {
+                                Ok(g) => g,
+                                Err(poisoned) => poisoned.into_inner(),
+                            };
+                            execute(&sh.index, &mut scratch, &sreq)
+                        }
+                        _ => unreachable!("plan indexes its own shard slice"),
+                    };
+                    // Each slot is claimed by exactly one worker.
+                    let _ = slot.set(res);
                 });
             }
         });
@@ -696,21 +710,5 @@ impl ShardedEngine {
     /// Zero the serving metrics (between benchmark phases).
     pub fn reset_metrics(&self) {
         self.metrics.reset();
-    }
-
-    fn pool_pop(&self) -> Scratch {
-        let mut pool = match self.scratch_pool.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.pop().unwrap_or_default()
-    }
-
-    fn pool_push(&self, scratch: Scratch) {
-        let mut pool = match self.scratch_pool.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.push(scratch);
     }
 }

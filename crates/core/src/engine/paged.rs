@@ -5,19 +5,22 @@
 //! Opening decodes only what the footer carries — tokenizer spec,
 //! dictionary, texts, multisets, options, and the per-list block
 //! directory — and recomputes weights and lengths exactly like the heap
-//! load path. No posting page is read at open: time-to-first-query is
-//! O(footer), not O(index).
+//! load path, plus (when the file has rank-space bitmap lists) the global
+//! `(len, id)` order those bitmaps index. No posting page is read at
+//! open: time-to-first-query is O(footer), not O(index).
 //!
 //! Per query, the engine resolves the Theorem 1 length window against
-//! the directory's fence keys first ([`crate::snapshot::window_blocks`])
-//! and faults only the pages the surviving blocks live on, through a
-//! [`PagedSnapshot`] whose pool caps resident posting-page memory at
-//! `pool_pages × page_size`. The decoded windows are assembled into the
-//! same [`PostingList`](crate::PostingList) structures the heap engine
-//! serves, so all eight algorithms run unmodified — and, because a block
-//! is dropped only when its band's score upper bound is *safely* below τ
-//! (the exact complement of the emission predicate), the result set is
-//! bit-identical to the heap engine's (`tests/snapshot_equivalence.rs`).
+//! the directory's fence keys first ([`crate::snapshot::window_blocks`];
+//! a rank-space bitmap block's fences are the lengths at its first and
+//! last rank) and faults only the pages the surviving blocks live on,
+//! through a [`PagedSnapshot`] whose pool caps resident posting-page
+//! memory at `pool_pages × page_size`. The decoded windows are assembled
+//! into the same [`PostingList`](crate::PostingList) structures the heap
+//! engine serves, so all eight algorithms run unmodified — and, because a
+//! block is dropped only when its band's score upper bound is *safely*
+//! below τ (the exact complement of the emission predicate), the result
+//! set is bit-identical to the heap engine's
+//! (`tests/snapshot_equivalence.rs`).
 //! Each window carries only the list structures the request's algorithm
 //! reads ([`AlgorithmKind::list_structures`](super::AlgorithmKind::list_structures)):
 //! the sorted run and its skip layer always, the extendible hash or
@@ -32,10 +35,13 @@
 //! eager sweep).
 
 use super::{execute_into, EngineMetrics, MetricsSnapshot, Scratch, SearchError, SearchRequest};
-use crate::index::ListPayload;
-use crate::snapshot::{decode_footer, read_list_blocks, window_blocks, ListRef, PageFetch};
+use crate::index::{set_lengths, ListPayload};
+use crate::snapshot::{
+    decode_footer, rank_order_for, read_list_blocks, window_blocks, ListRef, PageFetch, RankSpace,
+};
 use crate::{
     InvertedIndex, PreparedQuery, QueryToken, SearchOutcome, SetCollection, SnapshotError, Tau,
+    TokenWeights,
 };
 use setsim_storage::PagedSnapshot;
 use setsim_tokenize::Token;
@@ -128,6 +134,9 @@ pub struct PagedEngine {
     index: InvertedIndex<'static>,
     /// The footer's per-list block directory, token-ascending.
     directory: Vec<ListRef>,
+    /// The global `(len, id)` order rank-space bitmap pages index (empty
+    /// if the file has none).
+    order: Vec<u32>,
     snap: PagedSnapshot,
     scratch: Scratch,
     metrics: EngineMetrics,
@@ -136,8 +145,8 @@ pub struct PagedEngine {
 impl PagedEngine {
     /// Open `path` for demand-paged serving with a pool of `pool_pages`
     /// frames. Decodes the header, trailer, and footer eagerly (all
-    /// CRC-verified) and recomputes weights and set lengths; reads no
-    /// posting page. `pool_pages == 0` is rejected as
+    /// CRC-verified) and recomputes weights, set lengths, and the rank
+    /// order; reads no posting page. `pool_pages == 0` is rejected as
     /// [`SnapshotError::Unsupported`].
     pub fn open(path: &Path, pool_pages: usize) -> Result<Self, SnapshotError> {
         let snap = PagedSnapshot::open(path, pool_pages)?;
@@ -148,10 +157,15 @@ impl PagedEngine {
             texts,
             multisets,
         ));
-        let index = InvertedIndex::assemble_owned(collection, options, Vec::new());
+        let weights = TokenWeights::compute(&collection);
+        let lengths = set_lengths(&collection, &weights);
+        let order = rank_order_for(&directory, &lengths);
+        let index =
+            InvertedIndex::assemble_owned(collection, options, weights, lengths, Vec::new());
         Ok(Self {
             index,
             directory,
+            order,
             snap,
             scratch: Scratch::default(),
             metrics: EngineMetrics::default(),
@@ -231,7 +245,10 @@ impl PagedEngine {
         };
         let hits0 = self.snap.hits();
         let misses0 = self.snap.misses();
-        let num_sets = self.index.collection().len();
+        let ranks = RankSpace {
+            lengths: self.index.lengths(),
+            order: &self.order,
+        };
         let len_q = req.query.len;
         let mut touched: BTreeSet<u32> = BTreeSet::new();
         let mut lists: Vec<(Token, ListPayload)> = Vec::with_capacity(req.query.tokens.len());
@@ -242,29 +259,16 @@ impl PagedEngine {
                 // against a different index and must not be served.
                 return Err(PagedSearchError::ForeignQuery { token: qt.token });
             };
-            let range = window_blocks(list, len_q, tau.get());
+            let range = window_blocks(list, len_q, tau.get(), ranks);
             let mut pages = PooledPages {
                 snap: &mut self.snap,
                 touched: &mut touched,
             };
-            let payload = read_list_blocks(&mut pages, list, range, num_sets)?;
-            // The heap load path cross-checks every stored length against
-            // the recomputed table; do the same for each faulted window,
-            // so a cross-wired file (checksums fine, pages from another
-            // index) is rejected at fault time, not served.
-            if let ListPayload::Postings(ps) = &payload {
-                for p in ps {
-                    if p.len.to_bits() != self.index.set_len(p.id).to_bits() {
-                        return Err(SnapshotError::Corrupt {
-                            detail: format!(
-                                "stored length of {} in list {} disagrees with the collection",
-                                p.id, qt.token.0
-                            ),
-                        }
-                        .into());
-                    }
-                }
-            }
+            // Decoding checks every stored length against the recomputed
+            // table, as the heap load path does, so a cross-wired file
+            // (checksums fine, pages from another index) is rejected at
+            // fault time, not served.
+            let payload = read_list_blocks(&mut pages, list, range, ranks)?;
             lists.push((qt.token, payload));
         }
         self.index

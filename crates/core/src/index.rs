@@ -177,10 +177,10 @@ impl IndexOptions {
 }
 
 /// A decoded list body handed to [`InvertedIndex::assemble_owned`]:
-/// either full `(len, id)`-sorted postings (run/inline page encodings)
-/// or bare ascending ids (bitmap pages, whose lengths are recomputed
-/// from the collection — the ids must already be validated against the
-/// record count).
+/// either full `(len, id)`-sorted postings (run, inline, and rank-space
+/// bitmap page encodings) or bare ascending ids (id-space bitmap pages of
+/// older files, whose lengths are recomputed from the collection — the
+/// ids must already be validated against the record count).
 pub(crate) enum ListPayload {
     /// `(len, id)`-sorted postings.
     Postings(Vec<Posting>),
@@ -667,6 +667,15 @@ fn assemble_list(
     list
 }
 
+/// `len(s)` of every set of `collection` under `weights`, indexed by id:
+/// the one length table the build, load, and paged paths all share.
+pub(crate) fn set_lengths(collection: &SetCollection, weights: &TokenWeights) -> Vec<f64> {
+    collection
+        .iter_sets()
+        .map(|(_, s)| weights.set_length(s))
+        .collect()
+}
+
 /// The inverted-list index of Section III-B.
 ///
 /// One [`PostingList`] per token, each sorted by increasing set length —
@@ -686,10 +695,7 @@ impl<'c> InvertedIndex<'c> {
     /// Build the index over `collection`.
     pub fn build(collection: &'c SetCollection, options: IndexOptions) -> Self {
         let weights = TokenWeights::compute(collection);
-        let lengths: Vec<f64> = collection
-            .iter_sets()
-            .map(|(_, s)| weights.set_length(s))
-            .collect();
+        let lengths = set_lengths(collection, &weights);
 
         let mut raw: HashMap<Token, Vec<Posting>> = HashMap::new();
         for (id, set) in collection.iter_sets() {
@@ -752,10 +758,7 @@ impl<'c> InvertedIndex<'c> {
         options: IndexOptions,
         weights: TokenWeights,
     ) -> InvertedIndex<'static> {
-        let lengths: Vec<f64> = collection
-            .iter_sets()
-            .map(|(_, s)| weights.set_length(s))
-            .collect();
+        let lengths = set_lengths(&collection, &weights);
         let mut raw: HashMap<Token, Vec<Posting>> = HashMap::new();
         for (id, set) in collection.iter_sets() {
             let len = lengths[id.index()];
@@ -771,40 +774,25 @@ impl<'c> InvertedIndex<'c> {
             })
             .collect();
         sorted_lists.sort_by_key(|(t, _)| *t);
-        Self::assemble_owned_with_weights(collection, options, sorted_lists, weights)
+        Self::assemble_owned(collection, options, weights, lengths, sorted_lists)
     }
 
-    /// Reassemble an index around an owned collection from decoded
-    /// list payloads (the snapshot load path). Weights, set lengths, and
-    /// every per-list auxiliary structure are recomputed with the same
-    /// deterministic code the build path uses, so a loaded index is
-    /// bit-identical to the one that was saved. Id-only payloads (bitmap
-    /// pages carry no lengths) get their lengths from the recomputed
-    /// length table — the same table every built posting is constructed
-    /// from.
+    /// Reassemble an index around an owned collection from decoded list
+    /// payloads (the snapshot load path), with the weight table and the
+    /// [`set_lengths`] it gives — computed from the collection, or the
+    /// corpus-global table a reopened shard scores with. Every per-list
+    /// auxiliary structure is rebuilt with the same deterministic code the
+    /// build path uses, so a loaded index is bit-identical to the one that
+    /// was saved. Id-only payloads (id-space bitmap pages carry no
+    /// lengths) get their lengths from `lengths` — the same table every
+    /// built posting is constructed from.
     pub(crate) fn assemble_owned(
         collection: Box<SetCollection>,
         options: IndexOptions,
-        sorted_lists: Vec<(Token, ListPayload)>,
-    ) -> InvertedIndex<'static> {
-        let weights = TokenWeights::compute(&collection);
-        Self::assemble_owned_with_weights(collection, options, sorted_lists, weights)
-    }
-
-    /// [`assemble_owned`](Self::assemble_owned) with an explicit weight
-    /// table (the sharded snapshot-load path: a reopened shard must score
-    /// with the global df table stored in the shard manifest, not one
-    /// recomputed from its own sub-collection).
-    pub(crate) fn assemble_owned_with_weights(
-        collection: Box<SetCollection>,
-        options: IndexOptions,
-        sorted_lists: Vec<(Token, ListPayload)>,
         weights: TokenWeights,
+        lengths: Vec<f64>,
+        sorted_lists: Vec<(Token, ListPayload)>,
     ) -> InvertedIndex<'static> {
-        let lengths: Vec<f64> = collection
-            .iter_sets()
-            .map(|(_, s)| weights.set_length(s))
-            .collect();
         let mut total_postings = 0u64;
         let mut lists = HashMap::with_capacity(sorted_lists.len());
         for (token, payload) in sorted_lists {
@@ -921,6 +909,11 @@ impl<'c> InvertedIndex<'c> {
     #[inline]
     pub fn set_len(&self, id: SetId) -> f64 {
         self.lengths[id.index()]
+    }
+
+    /// `len(s)` of every set, indexed by id.
+    pub(crate) fn lengths(&self) -> &[f64] {
+        &self.lengths
     }
 
     /// The inverted list of `token`, if the token occurs in the database.
@@ -1245,8 +1238,8 @@ mod tests {
 
     /// An index over `structures_corpus` whose lists are re-assembled by
     /// the paged engine's path with only `structures`: bitmap-selected
-    /// lists arrive as bare ids (the bitmap page payload), the rest as
-    /// postings.
+    /// lists arrive as bare ids (the id-space bitmap page payload), the
+    /// rest as postings.
     fn assembled_with(
         options: &IndexOptions,
         structures: ListStructures,
@@ -1266,9 +1259,14 @@ mod tests {
             })
             .collect();
         lists.sort_by_key(|(t, _)| *t);
+        let collection = Box::new(structures_corpus());
+        let weights = TokenWeights::compute(&collection);
+        let lengths = set_lengths(&collection, &weights);
         let mut lean = InvertedIndex::assemble_owned(
-            Box::new(structures_corpus()),
+            collection,
             options.clone(),
+            weights,
+            lengths,
             Vec::new(),
         );
         lean.replace_lists(lists, structures);

@@ -13,6 +13,9 @@
 //!   into pages — the directory records each block's `(page, offset)` —
 //!   so the many short lists of a q-gram index share pages instead of
 //!   wasting a page each; a block never straddles a page boundary.
+//!   Inline and bitmap lists use their own page kinds (`ListEncoding`);
+//!   bitmap words index the global `(len, id)` order (`rank_order`), so
+//!   they decode into sorted postings and window like run blocks.
 //! * **The footer** — everything needed to rebuild the serving state:
 //!   the tokenizer's [`TokenizerSpec`], the dictionary strings in id
 //!   order, record texts and token multisets, the [`IndexOptions`], and
@@ -153,9 +156,9 @@ fn decode_options(buf: &[u8], pos: &mut usize) -> Result<IndexOptions, SnapshotE
 }
 
 /// How a list's body is laid out in its pages. Pre-kernel snapshots only
-/// ever contain [`RunBlocks`](Self::RunBlocks); the other two are the
-/// page kinds introduced with the adaptive representations, recorded in
-/// the footer's representation extension (absent in legacy files, whose
+/// ever contain [`RunBlocks`](Self::RunBlocks); the others are the page
+/// kinds introduced with the adaptive representations, recorded in the
+/// footer's representation extension (absent in legacy files, whose
 /// decoder therefore defaults every list to `RunBlocks`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ListEncoding {
@@ -164,10 +167,19 @@ pub(crate) enum ListEncoding {
     /// Raw fixed-width `(len-bits, id)` entries: a handful of postings is
     /// cheaper to store verbatim than to delta-code.
     InlineRaw,
-    /// Raw bitmap words; ids only, lengths recomputed at load. The
-    /// block's `first_key` holds the starting word index and `count` the
-    /// number of words.
+    /// Raw bitmap words in **id space** (tag 2): bit `k` is set iff set
+    /// id `k` is in the list. Read, never written: files from before
+    /// rank-space pages still load, decoded whole and then sorted into
+    /// `(len, id)` order. The block's `first_key` holds the starting word
+    /// index and `count` the number of words.
     BitmapWords,
+    /// Raw bitmap words in **rank space** (tag 3): bit `k` is set iff the
+    /// set at position `k` of the index's global `(len, id)` order (see
+    /// [`rank_order`]) is in the list. Same words, blocks, and directory
+    /// fields as [`BitmapWords`](Self::BitmapWords); because rank order
+    /// is length order, set bits decode straight into sorted postings and
+    /// blocks can be windowed by Theorem 1 like run blocks.
+    RankBitmap,
 }
 
 impl ListEncoding {
@@ -176,6 +188,7 @@ impl ListEncoding {
             ListEncoding::RunBlocks => 0,
             ListEncoding::InlineRaw => 1,
             ListEncoding::BitmapWords => 2,
+            ListEncoding::RankBitmap => 3,
         }
     }
 
@@ -184,7 +197,75 @@ impl ListEncoding {
             0 => Ok(ListEncoding::RunBlocks),
             1 => Ok(ListEncoding::InlineRaw),
             2 => Ok(ListEncoding::BitmapWords),
+            3 => Ok(ListEncoding::RankBitmap),
             t => Err(corrupt(format!("unknown list encoding tag {t}"))),
+        }
+    }
+}
+
+/// The index's global `(len, id)` order: entry `k` is the id of the set
+/// at rank `k`. One stable sort of ascending ids keyed by length bits —
+/// lengths are non-negative, where bit order is `total_cmp` order, and
+/// stability breaks ties by id — so it is exactly the order every posting
+/// list is sorted in.
+pub(crate) fn rank_order(lengths: &[f64]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..lengths.len() as u32).collect();
+    order.sort_by_key(|&id| lengths[id as usize].to_bits());
+    order
+}
+
+/// [`rank_order`] if any list of `directory` is stored in rank space,
+/// else nothing: files without rank-space bitmaps skip the sort.
+pub(crate) fn rank_order_for(directory: &[ListRef], lengths: &[f64]) -> Vec<u32> {
+    if directory
+        .iter()
+        .any(|l| l.encoding == ListEncoding::RankBitmap)
+    {
+        rank_order(lengths)
+    } else {
+        Vec::new()
+    }
+}
+
+/// What list decoding checks and resolves postings against: the set
+/// lengths recomputed from the footer, and the global `(len, id)` order
+/// built from them (empty when no list is stored in rank space).
+#[derive(Clone, Copy)]
+pub(crate) struct RankSpace<'a> {
+    pub(crate) lengths: &'a [f64],
+    pub(crate) order: &'a [u32],
+}
+
+impl RankSpace<'_> {
+    fn num_sets(&self) -> usize {
+        self.lengths.len()
+    }
+
+    /// The lengths spanned by rank-space bitmap block `b`: it covers
+    /// ranks `[64·first_key, 64·(first_key + count))`, clipped to the
+    /// collection, and the global order is length-ascending, so its first
+    /// and last rank fence every length it can hold. A block outside the
+    /// order (impossible once [`check_bitmap_tiling`] passed) gets the
+    /// unbounded band, which never prunes.
+    fn block_band(&self, b: &BlockRef) -> crate::LengthBand {
+        let start = usize::try_from(b.first_key.saturating_mul(64)).unwrap_or(usize::MAX);
+        let end = usize::try_from(b.first_key.saturating_add(u64::from(b.count)))
+            .unwrap_or(usize::MAX)
+            .saturating_mul(64)
+            .min(self.order.len());
+        let len_at = |rank: usize| {
+            self.order
+                .get(rank)
+                .and_then(|&id| self.lengths.get(id as usize))
+        };
+        match (len_at(start), end.checked_sub(1).and_then(len_at)) {
+            (Some(&min_len), Some(&max_len)) if start < end => {
+                crate::LengthBand { min_len, max_len }
+            }
+            _ => crate::LengthBand {
+                min_len: 0.0,
+                max_len: f64::INFINITY,
+            },
         }
     }
 }
@@ -378,6 +459,17 @@ fn write_inline_pages(
     Ok(blocks)
 }
 
+/// A bitmap list's words in rank space: bit `rank_of[id]` for every
+/// posting, over a universe of `rank_of.len()` sets.
+fn rank_bitmap_words(postings: &[Posting], rank_of: &[u32]) -> Vec<u64> {
+    let mut words = vec![0u64; rank_of.len().div_ceil(64)];
+    for p in postings {
+        let rank = rank_of[p.id.index()] as usize;
+        words[rank / 64] |= 1u64 << (rank % 64);
+    }
+    words
+}
+
 /// Write a bitmap list as raw little-endian words. Each block's
 /// `first_key` records its starting word index and `count` its word
 /// count, so truncation or reordering is detected structurally before
@@ -524,6 +616,16 @@ fn save_index_with_format(
     let mut lists: Vec<_> = index.iter_lists().collect();
     lists.sort_by_key(|(t, _)| *t);
 
+    // Rank of every set in the global (len, id) order, for rank-space
+    // bitmap pages; needed only while writing.
+    let mut rank_of = Vec::new();
+    if !legacy_format && lists.iter().any(|(_, l)| l.repr() == ReprKind::Bitmap) {
+        rank_of = vec![0u32; index.lengths().len()];
+        for (rank, id) in rank_order(index.lengths()).into_iter().enumerate() {
+            rank_of[id as usize] = rank as u32;
+        }
+    }
+
     let mut directory = Vec::with_capacity(lists.len());
     {
         let mut packer = PagePacker::new(&mut writer);
@@ -531,12 +633,12 @@ fn save_index_with_format(
             // The page kind follows the in-memory representation — except
             // in the legacy format, which predates every kind but run
             // blocks (and run blocks encode any list's postings).
-            let (encoding, blocks) = match (legacy_format, list.repr(), list.bitmap()) {
-                (false, crate::ReprKind::Bitmap, Some(bm)) => (
-                    ListEncoding::BitmapWords,
-                    write_bitmap_pages(&mut packer, bm.words())?,
+            let (encoding, blocks) = match (legacy_format, list.repr()) {
+                (false, ReprKind::Bitmap) => (
+                    ListEncoding::RankBitmap,
+                    write_bitmap_pages(&mut packer, &rank_bitmap_words(list.postings(), &rank_of))?,
                 ),
-                (false, crate::ReprKind::Inline, _) => (
+                (false, ReprKind::Inline) => (
                     ListEncoding::InlineRaw,
                     write_inline_pages(&mut packer, list.postings())?,
                 ),
@@ -728,7 +830,43 @@ pub(crate) fn decode_footer(buf: &[u8]) -> Result<DecodedFooter, SnapshotError> 
             buf.len() - pos
         )));
     }
+    for list in directory.iter().filter(|l| {
+        matches!(
+            l.encoding,
+            ListEncoding::BitmapWords | ListEncoding::RankBitmap
+        )
+    }) {
+        check_bitmap_tiling(list, texts.len())?;
+    }
     Ok((spec, dict, texts, multisets, options, directory))
+}
+
+/// A bitmap list's blocks must tile the words of a `num_sets`-set
+/// universe exactly: each block non-empty and starting where the previous
+/// one ended. Checked once per file, so window reads and block fences can
+/// trust every block's word range.
+fn check_bitmap_tiling(list: &ListRef, num_sets: usize) -> Result<(), SnapshotError> {
+    let mut words = 0u64;
+    for b in &list.blocks {
+        if b.first_key != words {
+            return Err(corrupt(format!(
+                "bitmap block on page {} starts at word {} but {words} words precede it",
+                b.page, b.first_key
+            )));
+        }
+        if b.count == 0 {
+            return Err(corrupt(format!("empty bitmap block on page {}", b.page)));
+        }
+        words += u64::from(b.count);
+    }
+    let expected = num_sets.div_ceil(64) as u64;
+    if words != expected {
+        return Err(corrupt(format!(
+            "bitmap for token {} has {words} words, a {num_sets}-set collection needs {expected}",
+            list.token.0
+        )));
+    }
+    Ok(())
 }
 
 /// Where block pages come from during decode. The eager load path reads
@@ -765,41 +903,42 @@ impl PageFetch for PageCache<'_> {
     }
 }
 
-/// Decode one list's body from its block pages, dispatching on the page
-/// kind recorded in the footer's representation extension.
-fn read_list_postings<F: PageFetch>(
-    pages: &mut F,
-    list: &ListRef,
-    num_sets: usize,
-) -> Result<ListPayload, SnapshotError> {
-    read_list_blocks(pages, list, 0..list.blocks.len(), num_sets)
-}
-
 /// The contiguous block range of `list` that can hold any posting whose
 /// score against a length-`len_q` query is not safely below `tau` —
 /// Theorem 1 applied block-by-block using the directory's fence keys.
 ///
-/// Block `i` covers lengths `[first_key_i, first_key_{i+1}]` (the last
-/// block is unbounded above); [`crate::LengthBand::score_upper_bound`]
+/// Run and inline block `i` covers lengths `[first_key_i,
+/// first_key_{i+1}]` (the last block is unbounded above); a rank-space
+/// bitmap block covers the lengths of its rank range in the global order
+/// (`RankSpace::block_band`). [`crate::LengthBand::score_upper_bound`]
 /// bounds the score of every set in that band, and a block is dropped
-/// only when that bound is *safely* below `tau` — the exact complement
-/// of the emission predicate, so window decoding is bit-identical to
-/// whole-list decoding. Bitmap lists key blocks by word index, not
+/// only when that bound is *safely* below `tau` — the exact complement of
+/// the emission predicate, so window decoding is bit-identical to
+/// whole-list decoding. Id-space bitmap lists key blocks by set id, not
 /// length, and always return the full range.
-pub(crate) fn window_blocks(list: &ListRef, len_q: f64, tau: f64) -> std::ops::Range<usize> {
+pub(crate) fn window_blocks(
+    list: &ListRef,
+    len_q: f64,
+    tau: f64,
+    ranks: RankSpace<'_>,
+) -> std::ops::Range<usize> {
     let n = list.blocks.len();
     if list.encoding == ListEncoding::BitmapWords {
         return 0..n;
     }
     let mut first = n;
     let mut last = 0usize;
-    for i in 0..n {
-        let band = crate::LengthBand {
-            min_len: f64::from_bits(list.blocks[i].first_key),
-            max_len: match list.blocks.get(i + 1) {
-                Some(next) => f64::from_bits(next.first_key),
-                None => f64::INFINITY,
-            },
+    for (i, b) in list.blocks.iter().enumerate() {
+        let band = if list.encoding == ListEncoding::RankBitmap {
+            ranks.block_band(b)
+        } else {
+            crate::LengthBand {
+                min_len: f64::from_bits(b.first_key),
+                max_len: match list.blocks.get(i + 1) {
+                    Some(next) => f64::from_bits(next.first_key),
+                    None => f64::INFINITY,
+                },
+            }
         };
         if !crate::safely_below(band.score_upper_bound(len_q), tau) {
             first = first.min(i);
@@ -813,17 +952,18 @@ pub(crate) fn window_blocks(list: &ListRef, len_q: f64, tau: f64) -> std::ops::R
     }
 }
 
-/// Decode the given block range of one list. A partial range (the paged
-/// engine's Theorem 1 window) relaxes only the exact-count check against
-/// the directory; ordering, fence-key agreement, and id-range validation
-/// are enforced identically. Bitmap lists are structurally whole-list
-/// (word tiling and pop-count checks need every word), so a partial
-/// bitmap range is rejected rather than silently widened.
+/// Decode the given block range of one list (the whole list on the heap
+/// load path, the Theorem 1 window on the paged path). A partial range
+/// relaxes only the exact-count check against the directory; ordering,
+/// fence-key agreement, stored lengths, and id ranges are enforced
+/// identically. Id-space bitmap lists are structurally whole-list (their
+/// pop-count check needs every word and their ids need a sort), so a
+/// partial range of one is rejected rather than silently widened.
 pub(crate) fn read_list_blocks<F: PageFetch>(
     pages: &mut F,
     list: &ListRef,
     range: std::ops::Range<usize>,
-    num_sets: usize,
+    ranks: RankSpace<'_>,
 ) -> Result<ListPayload, SnapshotError> {
     let complete = range == (0..list.blocks.len());
     let blocks = list
@@ -832,20 +972,52 @@ pub(crate) fn read_list_blocks<F: PageFetch>(
         .ok_or_else(|| corrupt("block range outside the directory"))?;
     match list.encoding {
         ListEncoding::RunBlocks => {
-            read_run_blocks(pages, list, blocks, complete, num_sets).map(ListPayload::Postings)
+            read_run_blocks(pages, list, blocks, complete, ranks).map(ListPayload::Postings)
         }
         ListEncoding::InlineRaw => {
-            read_inline_raw(pages, list, blocks, complete, num_sets).map(ListPayload::Postings)
+            read_inline_raw(pages, list, blocks, complete, ranks).map(ListPayload::Postings)
+        }
+        ListEncoding::RankBitmap => {
+            read_rank_bitmap(pages, list, blocks, complete, ranks).map(ListPayload::Postings)
         }
         ListEncoding::BitmapWords => {
             if !complete {
                 return Err(corrupt(format!(
-                    "bitmap list for token {} cannot be decoded partially",
+                    "id-space bitmap list for token {} cannot be decoded partially",
                     list.token.0
                 )));
             }
-            read_bitmap_words(pages, list, num_sets).map(ListPayload::Ids)
+            read_bitmap_words(pages, list, ranks.num_sets()).map(ListPayload::Ids)
         }
+    }
+}
+
+/// The directory's posting total of `list`.
+fn directory_total(list: &ListRef) -> Result<usize, SnapshotError> {
+    usize::try_from(list.postings).map_err(|_| corrupt("posting count overflows usize"))
+}
+
+/// One stored `(len-bits, id)` entry as a posting, checked against the
+/// collection: the id must name a set, and the stored length must equal
+/// the recomputed one — a file whose checksums pass but whose pages come
+/// from another index (cross-wired) is rejected here, never served.
+fn checked_posting(
+    list: &ListRef,
+    key: u64,
+    id: u32,
+    ranks: RankSpace<'_>,
+) -> Result<Posting, SnapshotError> {
+    match ranks.lengths.get(id as usize) {
+        None => Err(corrupt(format!(
+            "posting references set {id} outside the collection ({} sets)",
+            ranks.num_sets()
+        ))),
+        Some(len) if len.to_bits() != key => Err(corrupt(format!(
+            "stored length of {} in list {} disagrees with the collection",
+            SetId(id),
+            list.token.0
+        ))),
+        Some(&len) => Ok(Posting { id: SetId(id), len }),
     }
 }
 
@@ -857,8 +1029,7 @@ fn check_posting_body(
     postings: &[Posting],
     complete: bool,
 ) -> Result<(), SnapshotError> {
-    let total =
-        usize::try_from(list.postings).map_err(|_| corrupt("posting count overflows usize"))?;
+    let total = directory_total(list)?;
     if complete && postings.len() != total {
         return Err(corrupt(format!(
             "list for token {} has {} postings, directory says {total}",
@@ -891,11 +1062,9 @@ fn read_run_blocks<F: PageFetch>(
     list: &ListRef,
     blocks: &[BlockRef],
     complete: bool,
-    num_sets: usize,
+    ranks: RankSpace<'_>,
 ) -> Result<Vec<Posting>, SnapshotError> {
-    let total =
-        usize::try_from(list.postings).map_err(|_| corrupt("posting count overflows usize"))?;
-    let mut postings = Vec::with_capacity(total.min(1 << 20));
+    let mut postings = Vec::with_capacity(directory_total(list)?.min(1 << 20));
     for b in blocks {
         let payload = pages.fetch(b.page)?;
         let mut pos = b.offset as usize;
@@ -924,15 +1093,7 @@ fn read_run_blocks<F: PageFetch>(
             let id = read_varint(payload, &mut pos)
                 .ok_or_else(|| corrupt(format!("page {} block entry {j} malformed", b.page)))?;
             let id = u32::try_from(id).map_err(|_| corrupt("set id overflows u32"))?;
-            if (id as usize) >= num_sets {
-                return Err(corrupt(format!(
-                    "posting references set {id} outside the collection ({num_sets} sets)"
-                )));
-            }
-            postings.push(Posting {
-                id: SetId(id),
-                len: f64::from_bits(key),
-            });
+            postings.push(checked_posting(list, key, id, ranks)?);
         }
     }
     check_posting_body(list, &postings, complete)?;
@@ -945,11 +1106,9 @@ fn read_inline_raw<F: PageFetch>(
     list: &ListRef,
     blocks: &[BlockRef],
     complete: bool,
-    num_sets: usize,
+    ranks: RankSpace<'_>,
 ) -> Result<Vec<Posting>, SnapshotError> {
-    let total =
-        usize::try_from(list.postings).map_err(|_| corrupt("posting count overflows usize"))?;
-    let mut postings = Vec::with_capacity(total.min(1 << 20));
+    let mut postings = Vec::with_capacity(directory_total(list)?.min(1 << 20));
     for b in blocks {
         let payload = pages.fetch(b.page)?;
         let mut pos = b.offset as usize;
@@ -964,41 +1123,84 @@ fn read_inline_raw<F: PageFetch>(
             }
             let id = read_u32_le(payload, &mut pos)
                 .ok_or_else(|| corrupt(format!("page {} inline entry {j} truncated", b.page)))?;
-            if (id as usize) >= num_sets {
-                return Err(corrupt(format!(
-                    "posting references set {id} outside the collection ({num_sets} sets)"
-                )));
-            }
-            postings.push(Posting {
-                id: SetId(id),
-                len: f64::from_bits(key),
-            });
+            postings.push(checked_posting(list, key, id, ranks)?);
         }
     }
     check_posting_body(list, &postings, complete)?;
     Ok(postings)
 }
 
-/// Raw bitmap words. The universe is the collection size; the words must
-/// tile it exactly (directory `first_key` is the starting word index of
-/// each block), carry no bits beyond it, and pop-count to the directory's
-/// posting total. Returns the set ids in ascending order.
+/// Rank-space bitmap words for a block range whose word tiling
+/// [`check_bitmap_tiling`] has already proved. Set bits enumerate in
+/// ascending rank — ascending `(len, id)` — so each one becomes the next
+/// posting directly: no sort, lengths from the table. A bit beyond the
+/// collection, more set bits than the directory's total, or (for the
+/// whole list) fewer, is corruption.
+fn read_rank_bitmap<F: PageFetch>(
+    pages: &mut F,
+    list: &ListRef,
+    blocks: &[BlockRef],
+    complete: bool,
+    ranks: RankSpace<'_>,
+) -> Result<Vec<Posting>, SnapshotError> {
+    let total = directory_total(list)?;
+    let window_ranks: usize = blocks.iter().map(|b| b.count as usize * 64).sum();
+    let mut postings = Vec::with_capacity(total.min(window_ranks));
+    for b in blocks {
+        let payload = pages.fetch(b.page)?;
+        let mut pos = b.offset as usize;
+        let mut base = usize::try_from(b.first_key)
+            .ok()
+            .and_then(|w| w.checked_mul(64))
+            .ok_or_else(|| corrupt("bitmap word index overflows usize"))?;
+        for j in 0..b.count {
+            let mut word = read_u64_le(payload, &mut pos)
+                .ok_or_else(|| corrupt(format!("page {} bitmap word {j} truncated", b.page)))?;
+            if postings.len() + word.count_ones() as usize > total {
+                return Err(corrupt(format!(
+                    "bitmap window of token {} holds more sets than the directory's {total}",
+                    list.token.0
+                )));
+            }
+            while word != 0 {
+                let rank = base + word.trailing_zeros() as usize;
+                let Some(&id) = ranks.order.get(rank) else {
+                    return Err(corrupt(format!(
+                        "bitmap for token {} has bits beyond the collection ({} sets)",
+                        list.token.0,
+                        ranks.num_sets()
+                    )));
+                };
+                postings.push(Posting {
+                    id: SetId(id),
+                    len: ranks.lengths[id as usize],
+                });
+                word &= word - 1;
+            }
+            base += 64;
+        }
+    }
+    if complete && postings.len() != total {
+        return Err(corrupt(format!(
+            "bitmap for token {} holds {} sets, directory says {total}",
+            list.token.0,
+            postings.len()
+        )));
+    }
+    Ok(postings)
+}
+
+/// Id-space bitmap words (tag 2), whole list. The word tiling was checked
+/// with the footer; the words must carry no bits beyond the collection
+/// and pop-count to the directory's posting total. Returns the set ids in
+/// ascending order.
 fn read_bitmap_words<F: PageFetch>(
     pages: &mut F,
     list: &ListRef,
     num_sets: usize,
 ) -> Result<Vec<u32>, SnapshotError> {
-    let expected_words = num_sets.div_ceil(64);
-    let mut words = Vec::with_capacity(expected_words.min(1 << 20));
+    let mut words = Vec::with_capacity(num_sets.div_ceil(64).min(1 << 20));
     for b in &list.blocks {
-        if b.first_key != words.len() as u64 {
-            return Err(corrupt(format!(
-                "bitmap block on page {} starts at word {} but {} words precede it",
-                b.page,
-                b.first_key,
-                words.len()
-            )));
-        }
         let payload = pages.fetch(b.page)?;
         let mut pos = b.offset as usize;
         for j in 0..b.count {
@@ -1006,13 +1208,6 @@ fn read_bitmap_words<F: PageFetch>(
                 .ok_or_else(|| corrupt(format!("page {} bitmap word {j} truncated", b.page)))?;
             words.push(w);
         }
-    }
-    if words.len() != expected_words {
-        return Err(corrupt(format!(
-            "bitmap for token {} has {} words, a {num_sets}-set collection needs {expected_words}",
-            list.token.0,
-            words.len()
-        )));
     }
     if num_sets % 64 != 0 {
         if let Some(&last) = words.last() {
@@ -1024,8 +1219,7 @@ fn read_bitmap_words<F: PageFetch>(
             }
         }
     }
-    let total =
-        usize::try_from(list.postings).map_err(|_| corrupt("posting count overflows usize"))?;
+    let total = directory_total(list)?;
     let popcount: usize = words.iter().map(|w| w.count_ones() as usize).sum();
     if popcount != total {
         return Err(corrupt(format!(
@@ -1053,8 +1247,8 @@ pub(crate) fn load_index(path: &Path) -> Result<InvertedIndex<'static>, Snapshot
 /// sharded open path: the shard manifest carries the corpus-global df
 /// table, and every shard must be assembled with it rather than with
 /// weights recomputed from its own sub-collection). The stored-length
-/// cross-check below then also proves the supplied table matches the one
-/// the shard was built with.
+/// cross-check of every decoded posting then also proves the supplied
+/// table matches the one the shard was built with.
 pub(crate) fn load_index_with_weights(
     path: &Path,
     weights: crate::TokenWeights,
@@ -1080,7 +1274,22 @@ fn load_index_impl(
             )));
         }
     }
-    let num_sets = texts.len();
+    let collection = Box::new(SetCollection::from_parts(
+        spec.build(),
+        dict,
+        texts,
+        multisets,
+    ));
+    // IDF weights and set lengths are deterministic functions of the
+    // multisets, so every decoded posting is checked against (or, for
+    // bitmap pages, resolved from) the same table the build path used.
+    let weights = weights.unwrap_or_else(|| crate::TokenWeights::compute(&collection));
+    let lengths = crate::index::set_lengths(&collection, &weights);
+    let order = rank_order_for(&directory, &lengths);
+    let ranks = RankSpace {
+        lengths: &lengths,
+        order: &order,
+    };
 
     let mut sorted_lists = Vec::with_capacity(directory.len());
     let mut cache = PageCache {
@@ -1088,37 +1297,17 @@ fn load_index_impl(
         last: None,
     };
     for list in &directory {
-        let postings = read_list_postings(&mut cache, list, num_sets)?;
+        let postings = read_list_blocks(&mut cache, list, 0..list.blocks.len(), ranks)?;
         sorted_lists.push((list.token, postings));
     }
-
-    let collection = Box::new(SetCollection::from_parts(
-        spec.build(),
-        dict,
-        texts,
-        multisets,
-    ));
-    let index = match weights {
-        Some(w) => InvertedIndex::assemble_owned_with_weights(collection, options, sorted_lists, w),
-        None => InvertedIndex::assemble_owned(collection, options, sorted_lists),
-    };
-
-    // Cross-check the decoded postings against the recomputed per-set
-    // lengths: IDF weights are a deterministic function of the multisets,
-    // so any disagreement means the file is internally inconsistent
-    // (pages from one index with the footer of another, say) even though
-    // every checksum passed.
-    for (token, list) in index.iter_lists() {
-        for p in list.postings() {
-            if p.len.to_bits() != index.set_len(p.id).to_bits() {
-                return Err(corrupt(format!(
-                    "stored length of {} in list {} disagrees with the collection",
-                    p.id, token.0
-                )));
-            }
-        }
-    }
-    Ok(index)
+    drop(order);
+    Ok(InvertedIndex::assemble_owned(
+        collection,
+        options,
+        weights,
+        lengths,
+        sorted_lists,
+    ))
 }
 
 /// What [`verify`] found in a checksum-clean, logically consistent snapshot.
@@ -1319,6 +1508,194 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&t.0, &bytes).expect("rewrite");
         assert!(verify(&t.0).is_err());
+    }
+
+    /// In-memory pages for driving the decoders directly.
+    struct MemPages(Vec<Vec<u8>>);
+
+    impl PageFetch for MemPages {
+        fn fetch(&mut self, id: u32) -> Result<&[u8], SnapshotError> {
+            self.0
+                .get(id as usize)
+                .map(Vec::as_slice)
+                .ok_or_else(|| corrupt(format!("no page {id}")))
+        }
+    }
+
+    /// A rank-space bitmap list over `num_sets` sets: one block per page,
+    /// `words_per_block` words each, holding `words`.
+    fn rank_bitmap_list(
+        words: &[u64],
+        words_per_block: usize,
+        postings: u64,
+    ) -> (ListRef, MemPages) {
+        let mut blocks = Vec::new();
+        let mut pages = Vec::new();
+        for (i, chunk) in words.chunks(words_per_block).enumerate() {
+            let mut page = Vec::new();
+            for w in chunk {
+                write_u64_le(&mut page, *w);
+            }
+            blocks.push(BlockRef {
+                first_key: (i * words_per_block) as u64,
+                page: i as u32,
+                offset: 0,
+                count: chunk.len() as u32,
+            });
+            pages.push(page);
+        }
+        let list = ListRef {
+            token: Token(7),
+            postings,
+            encoding: ListEncoding::RankBitmap,
+            blocks,
+        };
+        (list, MemPages(pages))
+    }
+
+    fn expect_corrupt<T>(res: Result<T, SnapshotError>, what: &str) {
+        match res {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            Err(other) => panic!("{what}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("{what}: damage decoded cleanly"),
+        }
+    }
+
+    #[test]
+    fn rank_bitmap_windows_decode_sorted_postings_and_reject_damage() {
+        // 200 sets whose lengths run against their ids, so rank order is
+        // the reverse of id order.
+        let lengths: Vec<f64> = (0..200).map(|i| f64::from(200 - i)).collect();
+        let order = rank_order(&lengths);
+        assert_eq!(order[0], 199);
+        let ranks = RankSpace {
+            lengths: &lengths,
+            order: &order,
+        };
+        // Ranks 1, 70, 130, 199 → ids 198, 129, 69, 0.
+        let mut words = vec![0u64; 4];
+        for r in [1usize, 70, 130, 199] {
+            words[r / 64] |= 1 << (r % 64);
+        }
+        let (list, mut pages) = rank_bitmap_list(&words, 2, 4);
+        check_bitmap_tiling(&list, 200).expect("clean tiling");
+
+        let whole = read_list_blocks(&mut pages, &list, 0..2, ranks).expect("clean list");
+        let ListPayload::Postings(ps) = whole else {
+            panic!("rank-space bitmaps decode to postings")
+        };
+        let ids: Vec<u32> = ps.iter().map(|p| p.id.0).collect();
+        assert_eq!(ids, [198, 129, 69, 0], "ascending rank is ascending length");
+        assert!(ps.iter().all(|p| p.len == lengths[p.id.index()]));
+        // A window decodes only its blocks.
+        let ListPayload::Postings(tail) =
+            read_list_blocks(&mut pages, &list, 1..2, ranks).expect("window")
+        else {
+            panic!("rank-space bitmaps decode to postings")
+        };
+        assert_eq!(tail.iter().map(|p| p.id.0).collect::<Vec<_>>(), [69, 0]);
+        // Block fences come from the global order: block 1 spans ranks
+        // 128..200, ids 71..=0, lengths 129..=200.
+        let band = ranks.block_band(&list.blocks[1]);
+        assert_eq!((band.min_len, band.max_len), (129.0, 200.0));
+
+        // A bit beyond the collection in the final word.
+        let mut beyond = words.clone();
+        beyond[3] |= 1 << 63;
+        let (list_b, mut pages_b) = rank_bitmap_list(&beyond, 2, 5);
+        expect_corrupt(
+            read_list_blocks(&mut pages_b, &list_b, 0..2, ranks),
+            "bit beyond",
+        );
+        expect_corrupt(
+            read_list_blocks(&mut pages_b, &list_b, 1..2, ranks),
+            "bit beyond (window)",
+        );
+
+        // A window holding more set bits than the whole list's total.
+        let mut dense = words.clone();
+        dense[0] = u64::MAX;
+        let (list_d, mut pages_d) = rank_bitmap_list(&dense, 2, 4);
+        expect_corrupt(
+            read_list_blocks(&mut pages_d, &list_d, 0..1, ranks),
+            "window popcount",
+        );
+        // Fewer set bits than the directory says, over the whole list.
+        let (list_f, mut pages_f) = rank_bitmap_list(&words, 2, 5);
+        expect_corrupt(
+            read_list_blocks(&mut pages_f, &list_f, 0..2, ranks),
+            "short popcount",
+        );
+
+        // Directory damage: a wrong first key, a wrong word count, a
+        // missing block, an empty block.
+        let mut shifted = rank_bitmap_list(&words, 2, 4).0;
+        shifted.blocks[1].first_key = 3;
+        expect_corrupt(check_bitmap_tiling(&shifted, 200), "first key");
+        let mut short = rank_bitmap_list(&words, 2, 4).0;
+        short.blocks[1].count = 1;
+        expect_corrupt(check_bitmap_tiling(&short, 200), "word count");
+        let mut truncated = rank_bitmap_list(&words, 2, 4).0;
+        truncated.blocks.pop();
+        expect_corrupt(check_bitmap_tiling(&truncated, 200), "missing block");
+        let mut empty = rank_bitmap_list(&words, 2, 4).0;
+        empty.blocks[1].count = 0;
+        expect_corrupt(check_bitmap_tiling(&empty, 200), "empty block");
+    }
+
+    /// Rewrite the snapshot at `src` into `dst` with the same pages and
+    /// a directory edited by `edit` (the footer is re-encoded and
+    /// re-sealed, so only the logical checks can catch the damage).
+    fn rewrite_directory(
+        index: &InvertedIndex<'_>,
+        src: &Path,
+        dst: &Path,
+        edit: impl FnOnce(&mut Vec<ListRef>),
+    ) {
+        let mut reader = SnapshotReader::open(src).expect("open");
+        let layout = reader.layout();
+        let (spec, _, _, _, _, mut directory) = decode_footer(reader.footer()).expect("footer");
+        edit(&mut directory);
+        let mut writer = SnapshotWriter::create(dst, layout.page_size).expect("create");
+        for id in 0..layout.num_pages as u32 {
+            writer
+                .write_page(&reader.page(id).expect("page"))
+                .expect("write");
+        }
+        writer
+            .finish(&encode_footer(index, &spec, &directory, false))
+            .expect("finish");
+    }
+
+    #[test]
+    fn damaged_rank_bitmap_directory_is_typed_on_load_and_paged_open() {
+        let texts: Vec<String> = (0..250).map(|i| format!("record {i:03}")).collect();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let c = collection(&refs);
+        let built = InvertedIndex::build(
+            &c,
+            IndexOptions::default().with_repr_policy(ReprPolicy::Force(ReprKind::Bitmap)),
+        );
+        let clean = TempFile(temp_path("rank-clean"));
+        // 32-byte pages hold three words a block: each 4-word list spans
+        // two blocks.
+        built.save_with_page_size(&clean.0, 32).expect("save");
+        let damaged = TempFile(temp_path("rank-damaged"));
+        type DirectoryEdit = fn(&mut Vec<ListRef>);
+        let edits: [(&str, DirectoryEdit); 2] = [
+            ("first key", |d| d[0].blocks[1].first_key += 1),
+            ("word count", |d| d[0].blocks[0].count -= 1),
+        ];
+        for (what, edit) in edits {
+            rewrite_directory(&built, &clean.0, &damaged.0, edit);
+            expect_corrupt(InvertedIndex::load(&damaged.0), what);
+            expect_corrupt(
+                crate::engine::PagedEngine::open(&damaged.0, 2).map(|_| ()),
+                what,
+            );
+        }
+        rewrite_directory(&built, &clean.0, &damaged.0, |_| {});
+        InvertedIndex::load(&damaged.0).expect("an unedited rewrite loads");
     }
 
     #[test]

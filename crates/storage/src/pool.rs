@@ -11,7 +11,7 @@
 
 use crate::snapshot::{page_checksum_ok, SnapshotError, SnapshotRegion};
 use crate::{PageId, SimulatedDisk};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A backing store the [`BufferPool`] can fault sealed pages from.
 ///
@@ -47,7 +47,9 @@ impl PageSource for crate::SnapshotReader {
 /// ("we leave caching up to the operating system and the disk drive").
 /// Hits are free; misses read through to the disk (charging it a
 /// sequential or random access) and evict the least recently used frame
-/// when full.
+/// when full. Every access stamps its frame with a fresh tick of a
+/// logical clock, and a recency index keyed by that tick finds the victim
+/// in O(log n) instead of a scan over every frame.
 ///
 /// Pages sealed with an embedded CRC (see
 /// [`seal_page`](crate::snapshot::seal_page)) can be fetched through
@@ -60,6 +62,9 @@ impl PageSource for crate::SnapshotReader {
 pub struct BufferPool {
     capacity: usize,
     frames: HashMap<PageId, Frame>,
+    /// Every resident frame by its `last_used` tick. Ticks are unique, so
+    /// the first entry is always the one LRU victim.
+    recency: BTreeMap<u64, PageId>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -81,6 +86,7 @@ impl BufferPool {
         Self {
             capacity,
             frames: HashMap::with_capacity(capacity),
+            recency: BTreeMap::new(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -90,15 +96,20 @@ impl BufferPool {
 
     fn evict_if_full(&mut self) {
         if self.frames.len() >= self.capacity {
-            let victim = self
-                .frames
-                .iter()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(id, _)| *id);
-            if let Some(victim) = victim {
+            if let Some((_, victim)) = self.recency.pop_first() {
                 self.frames.remove(&victim);
             }
         }
+    }
+
+    /// Serve resident frame `id`, restamping it as most recently used at
+    /// `clock`.
+    fn touch(&mut self, id: PageId, clock: u64) -> Option<&[u8]> {
+        let f = self.frames.get_mut(&id)?;
+        self.recency.remove(&f.last_used);
+        self.recency.insert(clock, id);
+        f.last_used = clock;
+        Some(&f.data)
     }
 
     /// Read `id` from the source into a frame, evicting first if needed.
@@ -119,6 +130,7 @@ impl BufferPool {
                 region: SnapshotRegion::Page(id.0),
             });
         }
+        self.recency.insert(clock, id);
         self.frames.insert(
             id,
             Frame {
@@ -140,16 +152,11 @@ impl BufferPool {
             self.misses += 1;
             // SimulatedDisk's PageSource impl cannot fail; on the
             // impossible error path the frame is simply absent and the
-            // fallback arm below serves an empty page.
+            // fallback below serves an empty page.
             let _infallible = self.admit(disk, id, clock, false);
         }
-        // Present on both paths; the fallback arm is unreachable.
-        let f = self.frames.entry(id).or_insert_with(|| Frame {
-            data: Box::new([]),
-            last_used: clock,
-        });
-        f.last_used = clock;
-        &f.data
+        // Present on both paths; the empty fallback is unreachable.
+        self.touch(id, clock).unwrap_or(&[])
     }
 
     /// Fetch a CRC-sealed page through the cache, verifying the embedded
@@ -179,7 +186,9 @@ impl BufferPool {
                 // The frame went bad while cached: never a hit, never
                 // served.
                 self.checksum_evictions += 1;
-                self.frames.remove(&id);
+                if let Some(f) = self.frames.remove(&id) {
+                    self.recency.remove(&f.last_used);
+                }
                 self.misses += 1;
                 self.admit(disk, id, clock, true)?;
             }
@@ -190,15 +199,10 @@ impl BufferPool {
         }
         // Every path that reaches here left a verified frame; a missing
         // one is reported as unverified rather than served.
-        match self.frames.get_mut(&id) {
-            Some(f) => {
-                f.last_used = clock;
-                Ok(&f.data)
-            }
-            None => Err(SnapshotError::ChecksumMismatch {
+        self.touch(id, clock)
+            .ok_or(SnapshotError::ChecksumMismatch {
                 region: SnapshotRegion::Page(id.0),
-            }),
-        }
+            })
     }
 
     /// Corrupt a resident frame in place (fault injection for tests and
@@ -250,6 +254,7 @@ impl BufferPool {
     /// Drop every frame and forget statistics.
     pub fn clear(&mut self) {
         self.frames.clear();
+        self.recency.clear();
         self.hits = 0;
         self.misses = 0;
         self.checksum_evictions = 0;
@@ -398,6 +403,91 @@ mod tests {
         assert_eq!(pool.resident(), 0, "damaged bytes must not stay cached");
         // The clean sibling page still loads fine.
         assert!(pool.get_verified(&mut d, ids[1]).is_ok());
+    }
+
+    /// The textbook LRU the recency index must reproduce: residents in
+    /// recency order, least recent first, found by linear search.
+    struct ReferenceLru {
+        capacity: usize,
+        order: Vec<PageId>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceLru {
+        fn access(&mut self, id: PageId, rotted: bool) {
+            match self.order.iter().position(|&p| p == id) {
+                Some(i) => {
+                    self.order.remove(i);
+                    if rotted {
+                        // A rotted frame is dropped and re-read: a miss
+                        // that evicts nobody, since its own slot freed up.
+                        self.misses += 1;
+                    } else {
+                        self.hits += 1;
+                    }
+                }
+                None => {
+                    self.misses += 1;
+                    if self.order.len() >= self.capacity {
+                        self.order.remove(0);
+                    }
+                }
+            }
+            self.order.push(id);
+        }
+    }
+
+    #[test]
+    fn recency_index_matches_reference_lru_at_every_step() {
+        let (mut d, ids) = sealed_disk_with(12);
+        let mut pool = BufferPool::new(5);
+        let mut reference = ReferenceLru {
+            capacity: 5,
+            order: Vec::new(),
+            hits: 0,
+            misses: 0,
+        };
+        // A fixed trace with locality: a splitmix-style generator picks
+        // mostly among four hot pages, sometimes among all twelve.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..3_000u32 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let r = (state >> 33) as usize;
+            let page = if r % 3 == 0 { r % 12 } else { r % 4 };
+            let id = ids[page];
+            // Every 97th step first rots the page's frame (if resident),
+            // so the checksum-eviction path must keep the index in sync.
+            let rotted = step % 97 == 0 && pool.poison_resident(id);
+            if step % 2 == 0 {
+                pool.get_verified(&mut d, id).expect("clean disk copy");
+            } else if !rotted {
+                pool.get(&mut d, id);
+            } else {
+                // The unverified path would serve the rot; heal it first.
+                pool.get_verified(&mut d, id).expect("clean disk copy");
+            }
+            reference.access(id, rotted);
+
+            let mut resident: Vec<PageId> = pool.frames.keys().copied().collect();
+            resident.sort_by_key(|p| p.0);
+            let mut expected = reference.order.clone();
+            expected.sort_by_key(|p| p.0);
+            assert_eq!(resident, expected, "residency diverged at step {step}");
+            assert_eq!(
+                (pool.hits(), pool.misses()),
+                (reference.hits, reference.misses),
+                "counters diverged at step {step}"
+            );
+            let by_recency: Vec<PageId> = pool.recency.values().copied().collect();
+            assert_eq!(by_recency, reference.order, "recency order at step {step}");
+        }
+        assert!(
+            reference.hits > 0 && reference.misses > 12,
+            "trace too tame"
+        );
     }
 
     #[test]

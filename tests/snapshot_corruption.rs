@@ -404,3 +404,146 @@ fn forced_representation_snapshots_reject_every_flip_and_truncation() {
         InvertedIndex::load(&t.0).expect("pristine bytes load");
     }
 }
+
+/// A word-tokenized corpus where every record holds `common`, and a
+/// quarter of them nothing else: under a forced bitmap representation the
+/// `common` list spans every rank, and a high-τ single-token probe's
+/// Theorem 1 window covers only the shortest sets — the lowest ranks.
+fn common_word_collection() -> SetCollection {
+    const VOCAB: [&str; 20] = [
+        "oak", "pine", "elm", "maple", "cedar", "birch", "ash", "fir", "yew", "alder", "beech",
+        "larch", "holly", "hazel", "rowan", "willow", "poplar", "spruce", "walnut", "cherry",
+    ];
+    let mut b = CollectionBuilder::new(setsim::tokenize::WordTokenizer::new());
+    for i in 0..600usize {
+        let mut text = String::from("common");
+        for k in 0..i % 4 {
+            text.push(' ');
+            text.push_str(VOCAB[(i * 3 + k) % VOCAB.len()]);
+        }
+        b.add(&text);
+    }
+    b.build()
+}
+
+/// `common_word_collection` under a forced bitmap representation, saved
+/// with 32-byte pages: three bitmap words (192 ranks) per block, one
+/// block per page.
+fn save_rank_bitmap_snapshot(path: &Path) {
+    use setsim::core::{ReprKind, ReprPolicy};
+    let c = common_word_collection();
+    let options = IndexOptions::default().with_repr_policy(ReprPolicy::Force(ReprKind::Bitmap));
+    InvertedIndex::build(&c, options)
+        .save_with_page_size(path, 32)
+        .expect("save");
+}
+
+/// Pages of the `common` list: 600 sets are 10 bitmap words, three to a
+/// 28-byte page payload.
+const COMMON_LIST_PAGES: u64 = 4;
+const NARROW_TAU: f64 = 0.9;
+const WIDE_TAU: f64 = 0.01;
+
+/// Theorem 1 windows rank-space bitmap lists: a narrow-window query
+/// faults strictly fewer pages of a bitmap list than the list spans,
+/// while a query wide enough to admit every length faults all of them.
+#[test]
+fn narrow_window_faults_fewer_pages_of_a_bitmap_list_than_it_spans() {
+    let t = TempFile(temp_snap("rank-window"));
+    save_rank_bitmap_snapshot(&t.0);
+    let mut paged = QueryEngine::open_paged(&t.0, 8).expect("paged open");
+    let q = paged.prepare_query_str("common");
+    assert_eq!(q.tokens.len(), 1, "single-list probe");
+    let mut touched = |tau: f64| {
+        paged
+            .search(SearchRequest::new(&q).tau(tau).algorithm(AlgorithmKind::Sf))
+            .expect("search")
+            .stats
+            .pages_touched
+    };
+    assert_eq!(
+        touched(WIDE_TAU),
+        COMMON_LIST_PAGES,
+        "wide window spans the list"
+    );
+    let narrow = touched(NARROW_TAU);
+    assert!(
+        (1..COMMON_LIST_PAGES).contains(&narrow),
+        "narrow window faulted {narrow} of the list's {COMMON_LIST_PAGES} pages"
+    );
+}
+
+/// The paged fault model holds for rank-space bitmap pages: a flipped
+/// byte in a bitmap page inside a query's window is a
+/// [`SnapshotError::ChecksumMismatch`] naming that page at fault time; a
+/// flip in a page of the *same list* outside the window is never faulted
+/// (answers stay pristine); and the eager [`verify`] catches every flip.
+///
+/// [`verify`]: setsim::core::snapshot::verify
+#[test]
+fn rank_bitmap_page_flips_fault_inside_the_window_only() {
+    let t = TempFile(temp_snap("rank-flip"));
+    save_rank_bitmap_snapshot(&t.0);
+    let clean = std::fs::read(&t.0).expect("read back");
+    let layout = SnapshotReader::open(&t.0).expect("clean open").layout();
+    let num_pages = usize::try_from(layout.num_pages).expect("fits");
+
+    let probe = |tau: f64| {
+        let mut paged = QueryEngine::open_paged(&t.0, 2).expect("open is page-lazy");
+        let q = paged.prepare_query_str("common");
+        paged
+            .search(SearchRequest::new(&q).tau(tau).algorithm(AlgorithmKind::Sf))
+            .map(|out| out.ids_sorted())
+    };
+    let narrow_oracle = probe(NARROW_TAU).expect("clean narrow probe");
+    let wide_oracle = probe(WIDE_TAU).expect("clean wide probe");
+    assert!(
+        !narrow_oracle.is_empty(),
+        "narrow probe must match something"
+    );
+
+    let pages_offset = usize::try_from(layout.pages_offset).expect("fits");
+    let (mut in_window, mut outside_window) = (0usize, 0usize);
+    for page in 0..num_pages {
+        let mut b = clean.clone();
+        b[pages_offset + page * layout.page_size + 2] ^= 0x5a;
+        write_variant(&t.0, &b);
+        assert!(
+            matches!(
+                setsim::core::snapshot::verify(&t.0),
+                Err(SnapshotError::ChecksumMismatch { region: SnapshotRegion::Page(p) }) if p as usize == page
+            ),
+            "verify must name damaged page {page}"
+        );
+        let faulted = |tau: f64, oracle: &[setsim::core::SetId]| match probe(tau) {
+            Ok(ids) => {
+                assert_eq!(
+                    &ids, oracle,
+                    "page {page} never faulted, yet answers changed"
+                );
+                false
+            }
+            Err(PagedSearchError::Snapshot(SnapshotError::ChecksumMismatch {
+                region: SnapshotRegion::Page(p),
+            })) => {
+                assert_eq!(p as usize, page, "fault must name the damaged page");
+                true
+            }
+            Err(other) => panic!("page {page}: unexpected error {other}"),
+        };
+        let narrow = faulted(NARROW_TAU, &narrow_oracle);
+        let wide = faulted(WIDE_TAU, &wide_oracle);
+        assert!(!narrow || wide, "the wide window contains the narrow one");
+        in_window += usize::from(narrow);
+        outside_window += usize::from(wide && !narrow);
+    }
+    assert!(
+        in_window > 0,
+        "no damaged page was inside the narrow window"
+    );
+    assert!(
+        outside_window > 0,
+        "no page of the probed list lay outside the narrow window"
+    );
+    write_variant(&t.0, &clean);
+}

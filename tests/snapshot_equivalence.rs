@@ -310,8 +310,9 @@ fn paged_engine_with_tiny_pool_matches_heap_engine() {
 }
 
 /// The paged window prune must stay bit-identical across every on-disk
-/// representation (runs, inline entries, bitmaps — which cannot be
-/// window-pruned and are decoded whole) and across the legacy format.
+/// representation (runs, inline entries, rank-space bitmaps — windowed
+/// by the lengths at their blocks' rank fences) and across the legacy
+/// format.
 #[test]
 fn paged_engine_matches_heap_for_every_representation_policy_and_legacy() {
     use setsim::core::snapshot::{save_legacy_format, DEFAULT_PAGE_SIZE};
@@ -393,4 +394,89 @@ fn legacy_format_snapshot_loads_as_forced_runs() {
             assert_eq!(b_ids, l_ids, "{} on legacy bytes", kind.name());
         }
     }
+}
+
+/// Records of the checked-in id-space bitmap fixture
+/// (`tests/fixtures/bitmap_id_space.snap`): 200 word-tokenized addresses
+/// over a 24-word vocabulary, so every list is dense enough to span
+/// several bitmap words.
+fn id_space_fixture_texts() -> Vec<String> {
+    const VOCAB: [&str; 24] = [
+        "main", "street", "park", "avenue", "north", "south", "east", "west", "river", "hill",
+        "lake", "road", "oak", "pine", "elm", "maple", "cedar", "bridge", "mill", "court", "green",
+        "station", "market", "square",
+    ];
+    (0..200usize)
+        .map(|i| {
+            (0..1 + i % 4)
+                .map(|k| VOCAB[(i * 7 + k * 11 + i / 5) % VOCAB.len()])
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect()
+}
+
+/// Snapshots written before rank-space bitmap pages store bitmap lists in
+/// id space (list-encoding tag 2). The fixture is such a file: the texts
+/// above indexed with `WordTokenizer::new()` under
+/// `ReprPolicy::Force(ReprKind::Bitmap)` and saved with 32-byte pages
+/// (three bitmap words per block, two blocks per list) by the id-space
+/// writer. It must still load — whole, then sorted — and both the heap
+/// load and the paged engine must answer every algorithm over the τ grid
+/// bit-identically to a fresh build of the same records.
+#[test]
+fn id_space_bitmap_fixture_matches_a_fresh_build() {
+    use setsim::core::{ReprKind, ReprPolicy};
+    use setsim::tokenize::WordTokenizer;
+
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/bitmap_id_space.snap");
+    let texts = id_space_fixture_texts();
+    let mut b = CollectionBuilder::new(WordTokenizer::new());
+    b.extend(texts.iter().map(String::as_str));
+    let collection = b.build();
+    let options = IndexOptions::default().with_repr_policy(ReprPolicy::Force(ReprKind::Bitmap));
+    let fresh = InvertedIndex::build(&collection, options);
+
+    let loaded = InvertedIndex::load(&fixture).expect("id-space fixture loads");
+    assert_eq!(loaded.collection().len(), texts.len());
+    assert_eq!(loaded.total_postings(), fresh.total_postings());
+    assert_eq!(loaded.num_lists(), fresh.num_lists());
+    for tok in 0..collection.dict().len() as u32 {
+        let token = setsim::tokenize::Token(tok);
+        let (Some(f), Some(l)) = (fresh.list(token), loaded.list(token)) else {
+            panic!("token {tok} present on one side only");
+        };
+        assert_eq!(l.repr(), ReprKind::Bitmap, "token {tok}");
+        assert_eq!(l.postings(), f.postings(), "token {tok}");
+    }
+
+    let mut fresh_engine = QueryEngine::new(fresh);
+    let mut heap = QueryEngine::open(&fixture).expect("heap open");
+    let mut paged = QueryEngine::open_paged(&fixture, 2).expect("paged open");
+    assert!(paged.num_pages() > 2, "fixture must outgrow the pool");
+    let mut queries: Vec<String> = texts.iter().step_by(17).cloned().collect();
+    queries.push("main strete".to_string());
+    let mut nonempty = 0usize;
+    for tau in [0.5, 0.75, 0.95] {
+        for kind in AlgorithmKind::ALL {
+            for text in &queries {
+                let want = fingerprint(&mut fresh_engine, text, tau, kind);
+                assert_eq!(
+                    fingerprint(&mut heap, text, tau, kind),
+                    want,
+                    "heap load: {} tau={tau} query={text:?}",
+                    kind.name()
+                );
+                assert_eq!(
+                    fingerprint_paged(&mut paged, text, tau, kind),
+                    want,
+                    "paged: {} tau={tau} query={text:?}",
+                    kind.name()
+                );
+                nonempty += usize::from(!want.0.is_empty());
+            }
+        }
+    }
+    assert!(nonempty > 0, "workload degenerate: all results empty");
 }
